@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .editor import first_hit
 from .errors import DimensionMismatch, SingleClass
 from .npyio import read_matrix, write_matrix
 
@@ -60,8 +61,8 @@ def linear_edit(w: np.ndarray, direction: LinearDirection,
 
 @dataclass(frozen=True)
 class LinearEditor:
-    """Per-attribute linear directions with the same positive-edit search
-    interface as the autoencoder pipeline."""
+    """Per-attribute linear directions; the positive-edit search walks fixed
+    step lengths along them through the shared ``editor.first_hit``."""
 
     directions: tuple  # one LinearDirection per attribute
 
@@ -69,25 +70,9 @@ class LinearEditor:
                         threshold: float = 0.9,
                         amplitudes=DEFAULT_AMPLITUDES):
         latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
-        n = latents.shape[0]
-        edited = np.empty_like(latents)
-        achieved = np.full(n, -np.inf)
-        success = np.zeros(n, dtype=bool)
-        pending = np.ones(n, dtype=bool)
-        for amp in amplitudes:
-            w_hat = linear_edit(latents, self.directions[k], amp)
-            vals = np.asarray(classify_fn(w_hat), dtype=np.float64)[:, k]
-            hit = pending & (vals >= threshold)
-            edited[hit] = w_hat[hit]
-            achieved[hit] = vals[hit]
-            success[hit] = True
-            pending &= ~hit
-            improve = pending & (vals > achieved)
-            edited[improve] = w_hat[improve]
-            achieved[improve] = vals[improve]
-            if not pending.any():
-                break
-        return edited, success, achieved
+        return first_hit(latents, k, classify_fn, threshold,
+                         (linear_edit(latents, self.directions[k], amp)
+                          for amp in amplitudes))
 
 
 def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray,

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -28,22 +29,19 @@ from .npyio import load_dataset, read_matrix, write_matrix
 CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict):
-    """Fill unset options from the JSON config file, if one was given."""
-    if not getattr(args, "config", None):
-        return args
+def _read_config(args: argparse.Namespace) -> dict:
+    """Option values from the JSON config file, keyed by option name."""
     try:
         overrides = json.loads(Path(args.config).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigInvalid(f"cannot read config {args.config}: {exc}") from exc
+    values = {}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ConfigInvalid(f"unknown config key {key!r}")
-        # a flag explicitly given on the command line beats the file
-        if getattr(args, attr) == parser_defaults.get(attr):
-            setattr(args, attr, value)
-    return args
+        values[attr] = value
+    return values
 
 
 def cmd_gen_data(args) -> int:
@@ -121,10 +119,12 @@ def cmd_edit(args) -> int:
     k = args.attribute
     if not 0 <= k < pipeline.model.n_attributes:
         raise ConfigInvalid(f"attribute {k} out of range")
+    target = args.target
     if args.raw:
-        target = gaussianize.gaussianize_value(pipeline.transform, k, args.target)
-    else:
-        target = args.target
+        try:
+            target = editor.raw_to_slot(pipeline, k, args.target)
+        except ValueError as exc:
+            raise ConfigInvalid(f"--target: {exc}") from exc
     edited = editor.edit(pipeline, latents, k, target)
     out = args.out or str(ws / "edited.npy")
     write_matrix(edited, out)
@@ -145,16 +145,13 @@ def cmd_evaluate(args) -> int:
     sampler = lambda n, seed: oracle.sample_w(world, n, seed)
     n_attrs = world.n_attributes
 
+    searches = {"autoencoder": functools.partial(editor.search_positive, pipeline),
+                "linear": linear.search_positive}
     methods = {}
-    for name, method in (("autoencoder", pipeline), ("linear", linear)):
-        search = (editor.search_positive if name == "autoencoder"
-                  else method.search_positive)
-        pairs_per_attr = []
-        for k in range(n_attrs):
-            wrapper = _SearchWrapper(search, pipeline if name == "autoencoder" else None)
-            pairs_per_attr.append(evaluation.build_edit_pairs(
-                wrapper, classify, sampler, k, n=args.n,
-                threshold=args.threshold, seed=args.seed + k))
+    for name, search in searches.items():
+        pairs_per_attr = [evaluation.build_edit_pairs(
+            search, classify, sampler, k, n=args.n, threshold=args.threshold,
+            seed=args.seed + k) for k in range(n_attrs)]
         mat = evaluation.variation_matrix(pairs_per_attr, classify)
         rates = [p.success_rate for p in pairs_per_attr]
         identities = [evaluation.identity_similarity(p, embed)
@@ -190,19 +187,6 @@ def cmd_evaluate(args) -> int:
         print(f"  {name}: mean rate {np.nanmean(metrics['rates']):.3f}, "
               f"off-diagonal sum {metrics['off_diagonal_sum']:.3f}")
     return 0
-
-
-class _SearchWrapper:
-    """Adapts the pipeline's free-function search to the method interface."""
-
-    def __init__(self, search, pipeline):
-        self._search = search
-        self._pipeline = pipeline
-
-    def search_positive(self, latents, k, classify_fn, threshold):
-        if self._pipeline is not None:
-            return self._search(self._pipeline, latents, k, classify_fn, threshold)
-        return self._search(latents, k, classify_fn, threshold)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,16 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true",
                    help="also write variation matrices as CSV")
     p.set_defaults(func=cmd_evaluate)
+    parser.commands = sub.choices  # command name -> its parser
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = {a.dest: a.default for a in parser._subparsers._group_actions[0]
-                .choices[args.command]._actions}
     try:
-        _apply_config(args, defaults)
+        if args.config:
+            # the file's values become the command's defaults: explicit flags win
+            parser.commands[args.command].set_defaults(**_read_config(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

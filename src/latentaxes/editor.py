@@ -71,11 +71,16 @@ def set_attribute(code: EditableCode, k: int, value: float) -> EditableCode:
     return replace(code, attr_slots=slots)
 
 
-def set_attribute_raw(pipeline: EditPipeline, code: EditableCode, k: int,
-                      raw_value: float) -> EditableCode:
+def raw_to_slot(pipeline: EditPipeline, k: int, raw_value: float) -> float:
+    """Slot value (gaussianized scale) of a raw attribute-k value in [0, 1]."""
     if not 0.0 <= raw_value <= 1.0:
         raise ValueError(f"raw attribute value {raw_value} outside [0, 1]")
-    return set_attribute(code, k, gaussianize_value(pipeline.transform, k, raw_value))
+    return gaussianize_value(pipeline.transform, k, raw_value)
+
+
+def set_attribute_raw(pipeline: EditPipeline, code: EditableCode, k: int,
+                      raw_value: float) -> EditableCode:
+    return set_attribute(code, k, raw_to_slot(pipeline, k, raw_value))
 
 
 def edit(pipeline: EditPipeline, w: np.ndarray, k: int,
@@ -84,48 +89,39 @@ def edit(pipeline: EditPipeline, w: np.ndarray, k: int,
                                           target_gaussianized))
 
 
-def amplitude_search(pipeline: EditPipeline, w: np.ndarray, k: int,
-                     classify_fn, threshold: float = 0.9,
-                     quantile_grid=DEFAULT_AMPLITUDE_QUANTILES):
-    """Walk increasing edit targets until the classifier's output for
-    attribute k reaches the threshold.
-
-    Returns (edited latent, success flag, achieved raw value). On failure the
-    latent with the highest achieved value is returned.
-    """
-    current = _classify_checked(classify_fn, w)[k]
-    if current >= 0.5:
-        raise ValueError("amplitude search expects a k-negative sample")
-    best_w, best_val = None, -np.inf
-    for q in quantile_grid:
-        w_hat = edit(pipeline, w, k, inv_norm_cdf(q))
-        val = _classify_checked(classify_fn, w_hat)[k]
-        if val >= threshold:
-            return w_hat, True, float(val)
-        if val > best_val:
-            best_w, best_val = w_hat, val
-    return best_w, False, float(best_val)
-
-
 def search_positive(pipeline: EditPipeline, latents: np.ndarray, k: int,
                     classify_fn, threshold: float = 0.9,
                     quantile_grid=DEFAULT_AMPLITUDE_QUANTILES):
-    """Vectorized amplitude search over a batch of k-negative latents.
-
-    Semantics match amplitude_search sample by sample: each row gets the
-    edit from the first grid target whose classifier output reaches the
-    threshold. Returns (edited (n, m), success (n,), achieved (n,)).
-    """
+    """Amplitude search over a batch of k-negative latents: encode once,
+    then walk slot-k targets at the quantiles of ``quantile_grid``.
+    Returns (edited (n, m), success (n,), achieved (n,))."""
     latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
-    n = latents.shape[0]
     code = encode(pipeline, latents)
+    return first_hit(latents, k, classify_fn, threshold,
+                     (decode(pipeline, set_attribute(code, k, inv_norm_cdf(q)))
+                      for q in quantile_grid))
+
+
+def first_hit(latents: np.ndarray, k: int, classify_fn, threshold: float,
+              candidates):
+    """The amplitude walk shared by every editing method.
+
+    ``candidates`` yields edited batches shaped like ``latents``, in
+    increasing amplitude; it is drawn lazily and abandoned once every row
+    has hit. Each row takes the first candidate whose classifier output for
+    attribute k reaches the threshold; a row that never does keeps the
+    candidate with the highest output. Returns (edited, success, achieved).
+    """
+    n = latents.shape[0]
     edited = np.empty_like(latents)
     achieved = np.full(n, -np.inf)
     success = np.zeros(n, dtype=bool)
     pending = np.ones(n, dtype=bool)
-    for q in quantile_grid:
-        w_hat = decode(pipeline, set_attribute(code, k, inv_norm_cdf(q)))
-        vals = _classify_checked(classify_fn, w_hat)[:, k]
+    for w_hat in candidates:
+        out = np.asarray(classify_fn(w_hat), dtype=np.float64)
+        if not np.isfinite(out).all():
+            raise OracleFailure("classifier returned non-finite values")
+        vals = out[:, k]
         hit = pending & (vals >= threshold)
         edited[hit] = w_hat[hit]
         achieved[hit] = vals[hit]
@@ -137,10 +133,3 @@ def search_positive(pipeline: EditPipeline, latents: np.ndarray, k: int,
         if not pending.any():
             break
     return edited, success, achieved
-
-
-def _classify_checked(classify_fn, w):
-    out = np.asarray(classify_fn(w), dtype=np.float64)
-    if not np.isfinite(out).all():
-        raise OracleFailure("classifier returned non-finite values")
-    return out

@@ -41,10 +41,6 @@ class TooFewSamples(LatentAxesError):
     """Sample count below the minimum for a stable estimate."""
 
 
-class ScaleMismatch(LatentAxesError):
-    """Attribute vector is on the wrong scale (raw vs gaussianized)."""
-
-
 class OutOfDomain(LatentAxesError):
     """Argument outside the mathematical domain of the function."""
 

@@ -37,10 +37,10 @@ class EditPairs:
         return self.n_success / self.n_negatives
 
 
-def build_edit_pairs(method, classify_fn, sample_fn, k: int, n: int = 1024,
+def build_edit_pairs(search, classify_fn, sample_fn, k: int, n: int = 1024,
                      threshold: float = 0.9, seed: int = 0) -> EditPairs:
-    """Run the per-attribute protocol for any method exposing
-    search_positive(latents, k, classify_fn, threshold)."""
+    """Run the per-attribute protocol for any amplitude search
+    search(latents, k, classify_fn, threshold) -> (edited, success, achieved)."""
     latents = np.asarray(sample_fn(n, seed), dtype=np.float64)
     raw = np.asarray(classify_fn(latents), dtype=np.float64)
     negatives = latents[raw[:, k] < 0.5]
@@ -49,8 +49,7 @@ def build_edit_pairs(method, classify_fn, sample_fn, k: int, n: int = 1024,
         empty = np.empty((0, latents.shape[1]))
         return EditPairs(negatives=empty, positives=empty,
                          n_negatives=0, n_success=0)
-    edited, success, _ = method.search_positive(
-        negatives, k, classify_fn, threshold)
+    edited, success, _ = search(negatives, k, classify_fn, threshold)
     return EditPairs(negatives=negatives[success], positives=edited[success],
                      n_negatives=negatives.shape[0],
                      n_success=int(success.sum()))

@@ -15,11 +15,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erfc
 
-from .errors import OutOfDomain, ScaleMismatch, TooFewSamples
+from .errors import OutOfDomain, TooFewSamples
 from .npyio import read_matrix, write_matrix
-
-RAW = "raw"
-GAUSSIAN = "gaussian"
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -88,12 +85,6 @@ def inv_norm_cdf(p):
 
 
 @dataclass(frozen=True)
-class AttributeVector:
-    values: np.ndarray
-    scale: str  # RAW or GAUSSIAN
-
-
-@dataclass(frozen=True)
 class AttributeTransform:
     """Per-attribute empirical quantile tables, rows sorted ascending."""
 
@@ -148,18 +139,6 @@ def degaussianize_columns(t: AttributeTransform, gauss: np.ndarray) -> np.ndarra
     for k in range(t.n_attributes):
         out[:, k] = np.interp(p[:, k], positions, t.tables[k])
     return out[0] if single else out
-
-
-def to_gaussian(t: AttributeTransform, a: AttributeVector) -> AttributeVector:
-    if a.scale != RAW:
-        raise ScaleMismatch("expected a raw-scale attribute vector")
-    return AttributeVector(values=gaussianize_columns(t, a.values), scale=GAUSSIAN)
-
-
-def from_gaussian(t: AttributeTransform, g: AttributeVector) -> AttributeVector:
-    if g.scale != GAUSSIAN:
-        raise ScaleMismatch("expected a gaussianized attribute vector")
-    return AttributeVector(values=degaussianize_columns(t, g.values), scale=RAW)
 
 
 def gaussianize_value(t: AttributeTransform, k: int, value: float) -> float:

@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import (
     BadMagic,
-    DimensionMismatch,
     NonFinite,
     RowCountMismatch,
     TruncatedFile,
@@ -93,13 +92,3 @@ def load_dataset(latent_path, attr_path):
             f"{latents.shape[0]} latents vs {attrs.shape[0]} attribute rows"
         )
     return latents, attrs
-
-
-def as_matrix(data) -> np.ndarray:
-    """Coerce to a finite 2-D float64 array, validating shape and values."""
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected 2-D data, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise NonFinite("data contains NaN or infinity")
-    return m

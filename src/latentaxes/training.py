@@ -31,6 +31,7 @@ from .mlp import (
 from .npyio import read_matrix, write_matrix
 
 VAR_EPS = 1e-8  # variance guard in the correlation denominator
+MIN_CORR_BATCH = 32  # fewest rows per batch the correlation loss is fed
 
 CORR_NONE = "none"          # variant A
 CORR_DATABASE = "database"  # variant B
@@ -71,11 +72,6 @@ class TrainConfig:
     n_layers: int = 8
 
 
-def default_layer_sizes(dim: int, hidden: int = 512, n_layers: int = 8):
-    """Encoder/decoder layout: dim -> hidden x (n_layers - 1) -> dim."""
-    return [dim] + [hidden] * (n_layers - 1) + [dim]
-
-
 def loss_recons(w: np.ndarray, w_hat: np.ndarray) -> float:
     if w.shape != w_hat.shape:
         raise DimensionMismatch("reconstruction shapes differ")
@@ -91,17 +87,24 @@ def loss_attr(codes: np.ndarray, attrs: np.ndarray) -> float:
     return float(np.sum(diff * diff) / codes.shape[0])
 
 
-def batch_corr(codes_first_k: np.ndarray) -> np.ndarray:
-    """Pearson correlation over the batch (covariance divisor = batch size),
-    with a small additive variance guard so constant columns stay finite."""
+def _corr_parts(codes_first_k: np.ndarray):
+    """Centred columns, guarded variances and the Pearson correlation over
+    the batch (covariance divisor = batch size). The small additive variance
+    guard keeps constant columns finite."""
     y = np.asarray(codes_first_k, dtype=np.float64)
     b = y.shape[0]
     if b < 2:
         raise BatchTooSmall("correlation needs at least 2 samples")
     z = y - y.mean(axis=0)
     cov = z.T @ z / b
-    s = np.sqrt(np.diag(cov) + VAR_EPS)
-    return cov / np.outer(s, s)
+    var = np.diag(cov) + VAR_EPS
+    s = np.sqrt(var)
+    return z, var, s, cov / np.outer(s, s)
+
+
+def batch_corr(codes_first_k: np.ndarray) -> np.ndarray:
+    """Pearson correlation over the batch, variance-guarded."""
+    return _corr_parts(codes_first_k)[3]
 
 
 def loss_corr(corr: np.ndarray, gamma_ref: np.ndarray) -> float:
@@ -115,23 +118,15 @@ def corr_loss_and_grad(codes_first_k: np.ndarray, gamma_ref: np.ndarray):
 
     Subgradient of |.| at 0 is taken as 0. Returns (loss, grad (B, K)).
     """
-    y = np.asarray(codes_first_k, dtype=np.float64)
-    b, k = y.shape
-    if b < 2:
-        raise BatchTooSmall("correlation needs at least 2 samples")
-    z = y - y.mean(axis=0)
-    cov = z.T @ z / b
-    var = np.diag(cov)
-    s = np.sqrt(var + VAR_EPS)
-    corr = cov / np.outer(s, s)
+    z, var, s, corr = _corr_parts(codes_first_k)
+    b, k = z.shape
     diff = corr - gamma_ref
     loss = float(np.abs(diff).sum())
     g = np.sign(diff)
 
     # dL/dCov: numerator path, plus the variance path on the diagonal.
     m = g / np.outer(s, s)
-    diag_extra = -np.sum(g * corr, axis=1) / (var + VAR_EPS)
-    m[np.diag_indices(k)] += diag_extra
+    m[np.diag_indices(k)] -= np.sum(g * corr, axis=1) / var
     grad_z = z @ (m + m.T) / b
     grad_y = grad_z - grad_z.mean(axis=0)
     return loss, grad_y
@@ -216,11 +211,13 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig,
     dim_c = d if dim_c is None else dim_c
     if dim_c <= k:
         raise ConfigInvalid(f"code size {dim_c} must exceed attribute count {k}")
-    if cfg.corr_mode != CORR_NONE:
-        if cfg.batch_size < 2:
-            raise ConfigInvalid("correlation loss needs batch_size >= 2")
-        if cfg.batch_size < 32:
-            raise ConfigInvalid("correlation estimate unstable below batch 32")
+    # A shorter last batch is topped up with the rows before it, so the
+    # correlation loss never sees a short tail (on 2 rows every correlation
+    # is +-1) and an epoch keeps ceil(n / batch_size) steps.
+    min_batch = 2 if cfg.corr_mode == CORR_NONE else MIN_CORR_BATCH
+    if min(cfg.batch_size, n) < min_batch:
+        raise ConfigInvalid(f"corr_mode {cfg.corr_mode!r} needs batches of at "
+                            f"least {min_batch} rows")
 
     if cfg.corr_mode == CORR_IDENTITY:
         gamma = np.eye(k)
@@ -247,8 +244,8 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig,
         count = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            if idx.size < 2:
-                continue
+            if idx.size < min_batch:
+                idx = order[-min_batch:]
             enc_gw, enc_gb, dec_gw, dec_gb, comps = backward(
                 model, x[idx], a[idx], cfg, gamma)
             adam_step(model.encoder, enc_gw, enc_gb, state_e,

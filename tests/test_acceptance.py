@@ -5,6 +5,7 @@ Each test prints one PASS/FAIL line for its criterion. The heavy trainings
 is recorded so the end-to-end runtime budget can be asserted.
 """
 
+import functools
 import math
 import time
 
@@ -63,24 +64,20 @@ def corr_b():
     return train_desk(correlated=True, corr_mode=training.CORR_DATABASE)
 
 
-def edit_pairs_all(run, method, n=1024):
+def edit_pairs_all(run, search, n=1024):
     world = run["world"]
     classify = lambda w: oracle.classify(world, w)
     sample = lambda n_, s: oracle.sample_w(world, n_, s)
     per_attr = []
     for k in range(DESK["k"]):
         per_attr.append(evaluation.build_edit_pairs(
-            method, classify, sample, k, n=n, seed=100 + k))
+            search, classify, sample, k, n=n, seed=100 + k))
     return per_attr
 
 
-class AeSearch:
-    def __init__(self, pipe):
-        self.pipe = pipe
-
-    def search_positive(self, latents, k, classify_fn, threshold):
-        return editor.search_positive(self.pipe, latents, k, classify_fn,
-                                      threshold, AMPLITUDE_GRID)
+def ae_search(pipe):
+    return functools.partial(editor.search_positive, pipe,
+                             quantile_grid=AMPLITUDE_GRID)
 
 
 def held_out_max_offdiag(run, seed=99):
@@ -221,7 +218,7 @@ def test_criterion_4_gaussianization():
 
 def test_criterion_5_end_to_end(corr_c):
     t0 = time.perf_counter()
-    ae_pairs = edit_pairs_all(corr_c, AeSearch(corr_c["pipe"]))
+    ae_pairs = edit_pairs_all(corr_c, ae_search(corr_c["pipe"]))
     rate = float(np.mean([p.success_rate for p in ae_pairs]))
     max_off = held_out_max_offdiag(corr_c)
     embed = lambda w: oracle.embed_identity(corr_c["world"], w)
@@ -230,7 +227,7 @@ def test_criterion_5_end_to_end(corr_c):
     # variation-matrix comparison against the linear baseline
     classify_c = lambda w: oracle.classify(corr_c["world"], w)
     lin = baseline.fit_all_directions(corr_c["latents"], corr_c["attrs"])
-    lin_pairs = edit_pairs_all(corr_c, lin)
+    lin_pairs = edit_pairs_all(corr_c, lin.search_positive)
     ae_off = mean_abs_offdiag(evaluation.variation_matrix(ae_pairs, classify_c))
     lin_off = mean_abs_offdiag(evaluation.variation_matrix(lin_pairs, classify_c))
     elapsed = time.perf_counter() - t0 + corr_c["seconds"]
@@ -287,7 +284,7 @@ def test_criterion_8_determinism(tmp_path):
         pipe = editor.EditPipeline(pca=pm, transform=tr, model=model)
         classify = lambda w: oracle.classify(world, w)
         sample = lambda n, s: oracle.sample_w(world, n, s)
-        pairs = [evaluation.build_edit_pairs(AeSearch(pipe), classify, sample,
+        pairs = [evaluation.build_edit_pairs(ae_search(pipe), classify, sample,
                                              k, n=256, seed=50 + k)
                  for k in range(3)]
         mat = evaluation.variation_matrix(pairs, classify)

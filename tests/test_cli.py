@@ -73,6 +73,9 @@ def test_edit_raw_target(workspace, tmp_path):
     out = tmp_path / "edited_raw.npy"
     assert run("edit", "--workspace", workspace, "--latents", src,
                "--attribute", 0, "--target", "0.9", "--raw", "--out", out) == 0
+    # a raw target outside [0, 1] is refused, not clamped
+    assert run("edit", "--workspace", workspace, "--latents", src,
+               "--attribute", 0, "--target", "1.5", "--raw") == cli.CONFIG_ERROR
 
 
 def test_evaluate_report_schema(workspace):
@@ -104,6 +107,10 @@ def test_config_file_overrides(tmp_path):
     ws2 = tmp_path / "ws2"
     assert run("gen-data", "--workspace", ws2, "--config", cfg, "--n", 33) == 0
     assert npyio.read_matrix(ws2 / "latents.npy").shape == (33, 16)
+    # ... even when the flag's value equals its default (--k defaults to 5)
+    ws3 = tmp_path / "ws3"
+    assert run("gen-data", "--workspace", ws3, "--config", cfg, "--k", 5) == 0
+    assert npyio.read_matrix(ws3 / "attrs.npy").shape == (77, 5)
 
 
 def test_config_file_unknown_key(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latentaxes import editor, gaussianize, oracle, pca, training
+from latentaxes import baseline, editor, gaussianize, oracle, pca, training
 
 
 @pytest.fixture(scope="module")
@@ -133,13 +133,50 @@ def test_edit_moves_oracle_output_monotonically(setup):
     assert ok >= 0.9 * len(samples)
 
 
+def amplitude_search(edit_at, w, k, classify_fn, threshold=0.9,
+                     amplitudes=editor.DEFAULT_AMPLITUDE_QUANTILES):
+    """Per-sample reference for the batched searches: walk increasing
+    amplitudes, edit_at(w, amplitude) -> edited latent, until the classifier's
+    output for attribute k reaches the threshold.
+
+    Returns (edited latent, success flag, achieved raw value). On failure the
+    latent with the highest achieved value is returned.
+    """
+    if classify_fn(w)[k] >= 0.5:
+        raise ValueError("amplitude search expects a k-negative sample")
+    best_w, best_val = None, -np.inf
+    for amplitude in amplitudes:
+        w_hat = edit_at(w, amplitude)
+        val = classify_fn(w_hat)[k]
+        if val >= threshold:
+            return w_hat, True, float(val)
+        if val > best_val:
+            best_w, best_val = w_hat, val
+    return best_w, False, float(best_val)
+
+
+def ae_edit_at(pipe, k):
+    return lambda w, q: editor.edit(pipe, w, k, gaussianize.inv_norm_cdf(q))
+
+
+def assert_rows_match_reference(search_out, negatives, edit_at, k, classify,
+                                threshold, amplitudes):
+    edited, success, achieved = search_out
+    for i, w in enumerate(negatives):
+        w_hat, ok, val = amplitude_search(edit_at, w, k, classify, threshold,
+                                          amplitudes)
+        assert ok == success[i]
+        assert val == pytest.approx(achieved[i], abs=1e-12)
+        np.testing.assert_allclose(w_hat, edited[i], atol=1e-12)
+
+
 def test_amplitude_search_rejects_positive_sample(setup):
     world, pipe, latents = setup
     classify = lambda w: oracle.classify(world, w)
     w = 5.0 * world.attr_directions[0]
     assert classify(w)[0] > 0.9
     with pytest.raises(ValueError):
-        editor.amplitude_search(pipe, w, 0, classify)
+        amplitude_search(ae_edit_at(pipe, 0), w, 0, classify)
 
 
 def test_amplitude_search_and_batch_agree(setup):
@@ -147,13 +184,48 @@ def test_amplitude_search_and_batch_agree(setup):
     classify = lambda w: oracle.classify(world, w)
     samples = oracle.sample_w(world, 128, 25)
     negatives = samples[classify(samples)[:, 0] < 0.5][:20]
-    edited, success, achieved = editor.search_positive(
-        pipe, negatives, 0, classify)
-    for i, w in enumerate(negatives):
-        w_hat, ok, val = editor.amplitude_search(pipe, w, 0, classify)
-        assert ok == success[i]
-        assert val == pytest.approx(achieved[i], abs=1e-12)
-        np.testing.assert_allclose(w_hat, edited[i], atol=1e-12)
+    assert_rows_match_reference(
+        editor.search_positive(pipe, negatives, 0, classify), negatives,
+        ae_edit_at(pipe, 0), 0, classify, 0.9, editor.DEFAULT_AMPLITUDE_QUANTILES)
+
+
+@pytest.fixture(scope="module")
+def linear_setup():
+    world = oracle.make_world(16, 3, 4, seed=7)
+    latents, attrs = oracle.build_dataset(world, 3000, seed=8)
+    return world, baseline.fit_all_directions(latents, attrs)
+
+
+def test_linear_search_and_reference_agree(linear_setup):
+    world, lin = linear_setup
+    classify = lambda w: oracle.classify(world, w)
+    samples = oracle.sample_w(world, 256, 26)
+    # the short grid leaves some rows on their best-so-far edit
+    amplitudes = baseline.DEFAULT_AMPLITUDES[:3]
+    for k in range(3):
+        negatives = samples[classify(samples)[:, k] < 0.5][:20]
+        out = lin.search_positive(negatives, k, classify, 0.9, amplitudes)
+        assert 0 < out[1].sum() < len(negatives)
+        edit_at = lambda w, a: baseline.linear_edit(w, lin.directions[k], a)
+        assert_rows_match_reference(out, negatives, edit_at, k, classify,
+                                    0.9, amplitudes)
+
+
+@pytest.mark.parametrize("search", ["autoencoder", "linear"])
+def test_search_rejects_non_finite_classifier_output(setup, linear_setup, search):
+    def nan_for_last_row(w):
+        out = oracle.classify(world, w)
+        out[-1, -1] = np.nan
+        return out
+
+    if search == "autoencoder":
+        world, pipe, _ = setup
+        run = lambda w: editor.search_positive(pipe, w, 0, nan_for_last_row)
+    else:
+        world, lin = linear_setup
+        run = lambda w: lin.search_positive(w, 0, nan_for_last_row)
+    with pytest.raises(editor.OracleFailure):
+        run(oracle.sample_w(world, 8, 27))
 
 
 def test_pipeline_validates_dimensions(setup):

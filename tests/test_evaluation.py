@@ -110,17 +110,16 @@ class TestIdentity:
             identity_similarity(make_pairs(w, w), lambda x: x)
 
 
-class TestBuildEditPairs:
-    class AlwaysSucceeds:
-        def search_positive(self, latents, k, classify_fn, threshold):
-            edited = latents + 10.0
-            n = latents.shape[0]
-            return edited, np.ones(n, bool), np.full(n, 0.95)
+def always_succeeds(latents, k, classify_fn, threshold):
+    n = latents.shape[0]
+    return latents + 10.0, np.ones(n, bool), np.full(n, 0.95)
 
+
+class TestBuildEditPairs:
     def test_collects_negative_pairs(self):
         classify = lambda w: 1 / (1 + np.exp(-w[:, :2]))
         sample = lambda n, s: np.random.default_rng(s).normal(size=(n, 4))
-        pairs = build_edit_pairs(self.AlwaysSucceeds(), classify, sample,
+        pairs = build_edit_pairs(always_succeeds, classify, sample,
                                  k=0, n=200, seed=1)
         assert pairs.n_success == pairs.n_negatives > 0
         assert pairs.success_rate == 1.0
@@ -129,15 +128,15 @@ class TestBuildEditPairs:
         classify = lambda w: np.full((w.shape[0], 1), 0.99)
         sample = lambda n, s: np.random.default_rng(s).normal(size=(n, 4))
         with pytest.warns(UserWarning):
-            pairs = build_edit_pairs(self.AlwaysSucceeds(), classify, sample,
+            pairs = build_edit_pairs(always_succeeds, classify, sample,
                                      k=0, n=50, seed=2)
         assert np.isnan(pairs.success_rate)
 
     def test_seeded_reproducible(self):
         classify = lambda w: 1 / (1 + np.exp(-w[:, :1]))
         sample = lambda n, s: np.random.default_rng(s).normal(size=(n, 3))
-        p1 = build_edit_pairs(self.AlwaysSucceeds(), classify, sample, 0, 100, seed=3)
-        p2 = build_edit_pairs(self.AlwaysSucceeds(), classify, sample, 0, 100, seed=3)
+        p1 = build_edit_pairs(always_succeeds, classify, sample, 0, 100, seed=3)
+        p2 = build_edit_pairs(always_succeeds, classify, sample, 0, 100, seed=3)
         np.testing.assert_array_equal(p1.negatives, p2.negatives)
         np.testing.assert_array_equal(p1.positives, p2.positives)
 

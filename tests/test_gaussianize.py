@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from latentaxes import gaussianize as gz
-from latentaxes.errors import OutOfDomain, ScaleMismatch, TooFewSamples
+from latentaxes.errors import OutOfDomain, TooFewSamples
 
 
 def normal_quantile_oracle(p, lo=-40.0, hi=40.0):
@@ -130,19 +130,6 @@ class TestTransform:
         g = gz.gaussianize_columns(t, raw)
         assert np.abs(g.mean(axis=0)).max() < 0.05
         assert ((g.std(axis=0) > 0.9) & (g.std(axis=0) < 1.1)).all()
-
-    def test_scale_flags(self):
-        rng = np.random.default_rng(4)
-        t = gz.fit_transform(rng.uniform(size=(100, 2)))
-        raw = gz.AttributeVector(np.array([0.4, 0.6]), gz.RAW)
-        g = gz.to_gaussian(t, raw)
-        assert g.scale == gz.GAUSSIAN
-        back = gz.from_gaussian(t, g)
-        assert back.scale == gz.RAW
-        with pytest.raises(ScaleMismatch):
-            gz.to_gaussian(t, g)
-        with pytest.raises(ScaleMismatch):
-            gz.from_gaussian(t, raw)
 
     def test_save_load(self, tmp_path):
         rng = np.random.default_rng(6)

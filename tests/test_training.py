@@ -231,6 +231,26 @@ class TestTrain:
         with pytest.raises(ConfigInvalid):
             train(x, attrs, cfg)
 
+    @pytest.mark.parametrize("mode", [training.CORR_DATABASE,
+                                      training.CORR_IDENTITY])
+    def test_short_tail_batch_topped_up(self, mode, monkeypatch):
+        seen = []
+        real = training.corr_loss_and_grad
+
+        def recording(codes, gamma):
+            seen.append(codes.shape[0])
+            return real(codes, gamma)
+
+        monkeypatch.setattr(training, "corr_loss_and_grad", recording)
+        x, attrs = self.make_data(n=258)
+        cfg = TrainConfig(alpha=1.0, beta=0.1, corr_mode=mode, epochs=2,
+                          batch_size=64, hidden_size=8, n_layers=2)
+        _, history = train(x, attrs, cfg)
+        assert seen == [64, 64, 64, 64, 32] * 2
+        assert all(np.isfinite(h["total"]) for h in history)
+        with pytest.raises(ConfigInvalid):
+            train(x[:31], attrs[:31], cfg)
+
     def test_misaligned_data(self):
         with pytest.raises(DimensionMismatch):
             train(np.ones((5, 4)), np.ones((6, 2)), TrainConfig(epochs=1))
