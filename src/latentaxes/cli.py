@@ -28,18 +28,31 @@ from .npyio import load_dataset, read_matrix, write_matrix
 
 CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 
+# The allowed values of the options that have a fixed set; config file
+# values are checked against the same sets as the command line's.
+CHOICES = {"mapping": ("linear", "tanh-mixed"),
+           "variant": tuple(training.VARIANT_MODES)}
+
 
 def _read_config(args: argparse.Namespace) -> dict:
-    """Option values from the JSON config file, keyed by option name."""
+    """Option values from the JSON config file, keyed by option name.
+
+    They become argparse defaults, which argparse never checks, so they are
+    checked here."""
     try:
         overrides = json.loads(Path(args.config).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigInvalid(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ConfigInvalid(f"config {args.config} must hold a JSON object")
     values = {}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ConfigInvalid(f"unknown config key {key!r}")
+        if attr in CHOICES and value not in CHOICES[attr]:
+            raise ConfigInvalid(f"config key {key!r}: {value!r} is not one of "
+                                f"{', '.join(CHOICES[attr])}")
         values[attr] = value
     return values
 
@@ -207,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=8, help="identity subspace dimension")
     p.add_argument("--correlated", action="store_true",
                    help="plant correlations between adjacent attributes")
-    p.add_argument("--mapping", choices=["linear", "tanh-mixed"], default="linear")
+    p.add_argument("--mapping", choices=CHOICES["mapping"], default="linear")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
@@ -218,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an autoencoder variant")
     common(p)
-    p.add_argument("--variant", choices=["A", "B", "C"], default="C")
+    p.add_argument("--variant", choices=CHOICES["variant"], default="C")
     p.add_argument("--alpha", type=float, default=1e-5)
     p.add_argument("--beta", type=float, default=1e-5)
     p.add_argument("--epochs", type=int, default=150)

@@ -69,16 +69,9 @@ def variation_matrix(pairs_per_attr, classify_fn) -> np.ndarray:
     return mat
 
 
-def off_diagonal_sum(mat: np.ndarray, excluded_rows=()) -> float:
+def off_diagonal_sum(mat: np.ndarray) -> float:
     mat = np.asarray(mat, dtype=np.float64)
-    total = 0.0
-    for k in range(mat.shape[0]):
-        if k in excluded_rows:
-            continue
-        for l in range(mat.shape[1]):
-            if l != k:
-                total += abs(mat[k, l])
-    return total
+    return float(np.abs(mat[~np.eye(*mat.shape, dtype=bool)]).sum())
 
 
 def identity_similarity(pairs: EditPairs, embed_fn) -> float:

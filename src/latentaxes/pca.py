@@ -107,12 +107,6 @@ def explained_variance_fraction(model: PcaModel, d: int) -> float:
     return float(model.eigenvalues[:d].sum() / total)
 
 
-def truncate_residual(model: PcaModel, w: np.ndarray) -> np.ndarray:
-    """Reconstruct with the trailing coordinates zeroed."""
-    s = project(model, w)
-    return reconstruct(model, PcaSplit(top=s.top, residual=np.zeros_like(s.residual)))
-
-
 def save_pca(model: PcaModel, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

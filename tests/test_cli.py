@@ -120,5 +120,21 @@ def test_config_file_unknown_key(tmp_path):
                "--config", cfg) == cli.CONFIG_ERROR
 
 
+
+def test_config_file_not_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([1]))
+    assert run("gen-data", "--workspace", tmp_path / "ws",
+               "--config", cfg) == cli.CONFIG_ERROR
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_config_file_value_outside_choices(workspace, tmp_path, capsys):
+    # argparse refuses --variant D; the same value from a file is refused too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variant": "D"}))
+    assert run("train", "--workspace", workspace, "--config", cfg) == cli.CONFIG_ERROR
+    assert "config error:" in capsys.readouterr().err
+
 def test_missing_data_is_data_error(tmp_path):
     assert run("fit", "--workspace", tmp_path, "--d", 4) == cli.DATA_ERROR

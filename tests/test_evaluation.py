@@ -85,9 +85,12 @@ class TestOffDiagonalSum:
         mat = np.array([[1.0, 0.2], [-0.3, 1.0]])
         assert off_diagonal_sum(mat) == pytest.approx(0.5)
 
-    def test_row_exclusion(self):
-        mat = np.array([[1.0, 0.2], [-0.3, 1.0]])
-        assert off_diagonal_sum(mat, excluded_rows=(1,)) == pytest.approx(0.2)
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_matches_loop_reference(self, k):
+        mat = np.random.default_rng(k).normal(size=(k, k))
+        expected = sum(abs(mat[i, j]) for i in range(k) for j in range(k) if i != j)
+        # numpy sums in another order: k*k rounding steps of at most eps each
+        assert off_diagonal_sum(mat) == pytest.approx(expected, rel=k * k * 2.2e-16)
 
 
 class TestIdentity:

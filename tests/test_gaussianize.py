@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from latentaxes import gaussianize as gz
@@ -137,3 +140,61 @@ class TestTransform:
         gz.save_transform(t, tmp_path)
         loaded = gz.load_transform(tmp_path)
         np.testing.assert_array_equal(loaded.tables, t.tables)
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(x=st.floats(-8.0, 8.0))
+def test_inv_norm_cdf_inverts_norm_cdf(x):
+    p = gz.norm_cdf(x)
+    # p is rounded to spacing(p), which the quantile scales by 1 / density:
+    # in the upper tail that, not the quantile, limits the round trip
+    density = np.exp(-x * x / 2) / np.sqrt(2 * np.pi)
+    tol = 1e-14 * max(1.0, abs(x)) + 4 * np.spacing(p) / density
+    assert abs(gz.inv_norm_cdf(p) - x) <= tol
+
+
+@PROPERTY
+@given(ps=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                   min_size=2, max_size=50))
+def test_inv_norm_cdf_non_decreasing(ps):
+    x = gz.inv_norm_cdf(np.sort(ps))
+    assert (np.diff(x) >= 0).all()
+
+
+@st.composite
+def tables_and_raw(draw):
+    """Attribute samples in [0, 1] and raw values: the samples themselves
+    (ties included) and values inside and outside their range."""
+    n, k = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    attrs = draw(arrays(np.float64, (n, k), elements=st.floats(0.0, 1.0)))
+    extra = draw(arrays(np.float64, (draw(st.integers(1, 20)), k),
+                        elements=st.floats(-0.5, 1.5)))
+    return attrs, np.vstack([attrs, extra])
+
+
+@PROPERTY
+@given(case=tables_and_raw())
+def test_gaussianize_columns_monotone(case):
+    attrs, raw = case
+    t = gz.fit_transform(attrs)
+    g = gz.gaussianize_columns(t, np.sort(raw, axis=0))
+    assert (np.diff(g, axis=0) >= 0).all()
+
+
+@PROPERTY
+@given(case=tables_and_raw())
+def test_round_trip_within_table_resolution(case):
+    attrs, raw = case
+    t = gz.fit_transform(attrs)
+    back = gz.degaussianize_columns(t, gz.gaussianize_columns(t, raw))
+    for k, table in enumerate(t.tables):
+        # the table entries on either side of each raw value, clamped to the
+        # table's range
+        below = np.searchsorted(table, raw[:, k], side="left") - 1
+        above = np.searchsorted(table, raw[:, k], side="right")
+        lo = table[np.maximum(below, 0)]
+        hi = table[np.minimum(above, t.n - 1)]
+        assert ((lo <= back[:, k]) & (back[:, k] <= hi)).all()

@@ -2,10 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from latentaxes import npyio
 from latentaxes.errors import (
     BadMagic,
+    LatentAxesError,
     RowCountMismatch,
     TruncatedFile,
     UnsupportedDtype,
@@ -23,13 +27,19 @@ def test_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back, m)
 
 
-def test_hand_encoded_file(tmp_path):
-    # 2x3 <f8 file assembled byte by byte from the format definition
-    header = b"{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3), }"
+def npy_bytes(header: bytes, payload: bytes) -> bytes:
+    """A v1.0 file assembled byte by byte from the format definition."""
     pad = 64 - (10 + len(header) + 1) % 64
     header = header + b" " * pad + b"\n"
-    payload = struct.pack("<6d", 1, 2, 3, 4, 5, 6)
-    blob = b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header + payload
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header + payload
+
+
+def f8_header(shape: str, descr: str = "'<f8'") -> bytes:
+    return f"{{'descr': {descr}, 'fortran_order': False, 'shape': {shape}, }}".encode()
+
+
+def test_hand_encoded_file(tmp_path):
+    blob = npy_bytes(f8_header("(2, 3)"), struct.pack("<6d", 1, 2, 3, 4, 5, 6))
     path = tmp_path / "hand.npy"
     path.write_bytes(blob)
     m = npyio.read_matrix(path)
@@ -116,3 +126,81 @@ def test_load_dataset_row_mismatch(tmp_path):
     npyio.write_matrix(np.ones((9, 3)), tmp_path / "att.npy")
     with pytest.raises(RowCountMismatch):
         npyio.load_dataset(tmp_path / "lat.npy", tmp_path / "att.npy")
+
+
+@pytest.mark.parametrize("header", [
+    f8_header("(-1, 3)"),                # a negative row count
+    f8_header("(3, -1)"),
+    f8_header("(2.0, 3)"),               # a float entry
+    f8_header("(True, 3)"),              # a bool entry
+    f8_header(f"({2**40}, {2**30})"),    # a payload far past the end of the file
+    b"[1, 2]",                           # not a dict
+    f8_header("(2, 3)", descr="()"),     # an empty dtype tuple
+    f8_header("(2, 3)", descr="'<08'"),  # a dtype string numpy cannot parse
+    f8_header("(2, 3)").replace(b"{", b"{[]: 1, "),  # an unhashable key
+    b"{'descr': '<f8",                   # an unterminated string
+], ids=["neg-rows", "neg-cols", "float", "bool", "huge", "list", "empty-descr",
+        "bad-descr", "unhashable", "unterminated"])
+def test_malformed_header_is_truncated_file(tmp_path, header):
+    path = tmp_path / "bad.npy"
+    path.write_bytes(npy_bytes(header, bytes(48)))
+    with pytest.raises(TruncatedFile):
+        npyio.read_matrix(path)
+
+
+@pytest.fixture(scope="module")
+def scratch_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.npy"
+
+
+def read_or_typed_error(path, blob):
+    path.write_bytes(blob)
+    try:
+        m = npyio.read_matrix(path)
+    except LatentAxesError:
+        return
+    assert m.ndim == 2 and m.dtype == np.float64
+
+
+# tokens of a valid header, and tokens a mutation may put in their place
+VALID_TOKENS = ["{", "'descr'", ":", "'<f8'", ",", "'fortran_order'", ":", "False",
+                ",", "'shape'", ":", "(", "ROWS", ",", "COLS", ")", ",", "}"]
+MUTANT_TOKENS = ["-1", "0", "3", "2.0", "True", "None", "()", "[]", "{}", "[1, 2]",
+                 "(2, 3, 1)", "1099511627776", "'<f4'", "'<i8'", "'>f8'", "'<08'",
+                 "b'<f8'", "('<f8', 2)", "'shape'", ",", ")", "'"]
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid file of a drawn shape whose header has a few tokens replaced,
+    inserted or deleted."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    tokens = [{"ROWS": str(rows), "COLS": str(cols)}.get(t, t) for t in VALID_TOKENS]
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(tokens)))
+        stop = start + draw(st.integers(0, 1))
+        tokens[start:stop] = draw(st.lists(st.sampled_from(MUTANT_TOKENS), max_size=1))
+    return npy_bytes(" ".join(tokens).encode(), bytes(8 * rows * cols))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(blob=st.one_of(st.binary(max_size=200),
+                      st.binary(max_size=200).map(lambda b: b"\x93NUMPY\x01\x00" + b)))
+def test_random_bytes_give_a_matrix_or_a_typed_error(scratch_path, blob):
+    read_or_typed_error(scratch_path, blob)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(blob=mutated_files())
+def test_mutated_headers_give_a_matrix_or_a_typed_error(scratch_path, blob):
+    read_or_typed_error(scratch_path, blob)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(m=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0),
+                elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_round_trip_property(scratch_path, m):
+    npyio.write_matrix(m, scratch_path)
+    back = npyio.read_matrix(scratch_path)
+    assert back.shape == m.shape
+    np.testing.assert_array_equal(back, m)

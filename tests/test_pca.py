@@ -85,20 +85,6 @@ def test_scaling_linearity(gaussian_model):
     np.testing.assert_allclose(two - model.mean, 2 * (one - model.mean), atol=1e-9)
 
 
-def test_truncate_residual(gaussian_model):
-    model, data = gaussian_model
-    w = data[5]
-    t = pca.truncate_residual(model, w)
-    split = pca.project(model, w)
-    # Parseval: removed energy equals the residual coordinates' energy
-    assert abs(np.sum((t - w) ** 2) - np.sum(split.residual**2)) <= 1e-8
-    # idempotent
-    np.testing.assert_allclose(pca.truncate_residual(model, t), t, atol=1e-8)
-    # mean is a fixed point
-    np.testing.assert_allclose(pca.truncate_residual(model, model.mean),
-                               model.mean, atol=1e-10)
-
-
 def test_explained_variance_full(gaussian_model):
     model, _ = gaussian_model
     assert pca.explained_variance_fraction(model, model.dim) == pytest.approx(1.0)
