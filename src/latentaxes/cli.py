@@ -28,32 +28,59 @@ from .npyio import load_dataset, read_matrix, write_matrix
 
 CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 
-# The allowed values of the options that have a fixed set; config file
-# values are checked against the same sets as the command line's.
-CHOICES = {"mapping": ("linear", "tanh-mixed"),
-           "variant": tuple(training.VARIANT_MODES)}
+class CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that keeps its options by destination name, so
+    that config file values can be converted and checked like argv's."""
+
+    def __init__(self, *args, **kwargs):
+        self.options = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.default is not argparse.SUPPRESS:  # every option but --help
+            self.options[action.dest] = action
+        return action
 
 
-def _read_config(args: argparse.Namespace) -> dict:
+def _config_value(key: str, value, action: argparse.Action):
+    """A config file value converted and checked as argparse would the
+    option's command-line string. JSON numbers and booleans must already
+    have the option's type; an int is taken where a float is wanted."""
+    kind = bool if action.nargs == 0 else (action.type or str)
+    if isinstance(value, str) and kind is not bool:
+        try:
+            value = kind(value)
+        except ValueError as exc:
+            raise ConfigInvalid(f"config key {key!r}: {exc}") from exc
+    elif kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ConfigInvalid(f"config key {key!r}: {value!r} is not "
+                            f"a valid {kind.__name__}")
+    if action.choices is not None and value not in action.choices:
+        raise ConfigInvalid(f"config key {key!r}: {value!r} is not one of "
+                            f"{', '.join(action.choices)}")
+    return value
+
+
+def _read_config(path, command: CommandParser) -> dict:
     """Option values from the JSON config file, keyed by option name.
 
-    They become argparse defaults, which argparse never checks, so they are
-    checked here."""
+    They become argparse defaults, which argparse neither converts (unless
+    they are strings) nor checks, so both happen here."""
     try:
-        overrides = json.loads(Path(args.config).read_text())
+        overrides = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
-        raise ConfigInvalid(f"cannot read config {args.config}: {exc}") from exc
+        raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     if not isinstance(overrides, dict):
-        raise ConfigInvalid(f"config {args.config} must hold a JSON object")
+        raise ConfigInvalid(f"config {path} must hold a JSON object")
     values = {}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = command.options.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigInvalid(f"unknown config key {key!r}")
-        if attr in CHOICES and value not in CHOICES[attr]:
-            raise ConfigInvalid(f"config key {key!r}: {value!r} is not one of "
-                                f"{', '.join(CHOICES[attr])}")
-        values[attr] = value
+        values[action.dest] = _config_value(key, value, action)
     return values
 
 
@@ -205,7 +232,8 @@ def cmd_evaluate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="latentaxes",
                                      description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=CommandParser)
 
     def common(p):
         p.add_argument("--workspace", required=True, help="workspace directory")
@@ -220,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=8, help="identity subspace dimension")
     p.add_argument("--correlated", action="store_true",
                    help="plant correlations between adjacent attributes")
-    p.add_argument("--mapping", choices=CHOICES["mapping"], default="linear")
+    p.add_argument("--mapping", choices=("linear", "tanh-mixed"), default="linear")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
@@ -231,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an autoencoder variant")
     common(p)
-    p.add_argument("--variant", choices=CHOICES["variant"], default="C")
+    p.add_argument("--variant", choices=tuple(training.VARIANT_MODES), default="C")
     p.add_argument("--alpha", type=float, default=1e-5)
     p.add_argument("--beta", type=float, default=1e-5)
     p.add_argument("--epochs", type=int, default=150)
@@ -268,7 +296,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             # the file's values become the command's defaults: explicit flags win
-            parser.commands[args.command].set_defaults(**_read_config(args))
+            command = parser.commands[args.command]
+            command.set_defaults(**_read_config(args.config, command))
             args = parser.parse_args(argv)
         return args.func(args)
     except ConfigInvalid as exc:

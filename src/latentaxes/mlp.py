@@ -1,7 +1,14 @@
 """Plain-numpy MLP with LeakyReLU hidden layers and a hand-written backward
-pass, plus an Adam optimizer. Everything is deterministic given the seed."""
+pass, plus an Adam optimizer. Everything is deterministic given the seed.
 
-from dataclasses import dataclass
+All weights and biases of a net live in one 1-D float64 buffer,
+``MlpParams.flat``; ``weights`` and ``biases`` are lists of views into it.
+Adam keeps its moments in two more buffers of that layout, so one update is
+a few vector operations over the whole net. The forward pass caches each
+layer's input and pre-activation for the backward pass.
+"""
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -10,16 +17,23 @@ from .errors import DimensionMismatch, NonFinite
 
 @dataclass
 class MlpParams:
-    weights: list  # weights[i]: (sizes[i], sizes[i+1])
-    biases: list   # biases[i]: (sizes[i+1],)
+    weights: list  # weights[i]: (sizes[i], sizes[i+1]), a view into flat
+    biases: list   # biases[i]: (sizes[i+1],), a view into flat
+    flat: np.ndarray = field(init=False, repr=False)  # w0, b0, w1, b1, ...
+
+    def __post_init__(self):  # copies the arrays into flat
+        arrays = [a for pair in zip(self.weights, self.biases) for a in pair]
+        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        parts = np.split(self.flat, np.cumsum([np.size(a) for a in arrays])[:-1])
+        views = [part.reshape(np.shape(a)) for part, a in zip(parts, arrays)]
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def layer_sizes(self):
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases])
+        return MlpParams(self.weights, self.biases)
 
 
 def init_params(seed: int, layer_sizes) -> MlpParams:
@@ -34,25 +48,31 @@ def init_params(seed: int, layer_sizes) -> MlpParams:
 
 
 def leaky_relu(x, slope):
-    return np.where(x > 0, x, slope * x)
+    """max(x, slope * x): for 0 <= slope < 1 the same bits as
+    ``np.where(x > 0, x, slope * x)``, without its mispredicted branch, on
+    every input but one: at slope 0, +inf gives NaN (0 * inf) instead of
+    inf."""
+    return np.maximum(x, slope * x)
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray, leaky_slope: float = 0.01):
     """Forward pass. Hidden layers use LeakyReLU; the output layer is linear.
 
-    Returns (output, cache); the cache holds the input and every
-    pre-activation, enough to run the backward pass.
+    Returns (output, cache). The cache is (acts, pre): acts[i] is the input
+    of layer i (acts[0] is x) and pre[i] = acts[i] @ weights[i] + biases[i],
+    all that the backward pass reads.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.weights[0].shape[0]:
         raise DimensionMismatch(
             f"input dim {x.shape[-1]} != {params.weights[0].shape[0]}")
-    pre = []          # pre-activation of every layer
-    acts = [x]        # post-activation inputs to every layer
+    pre = []
+    acts = [x]
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         pre.append(z)
         h = z if i == last else leaky_relu(z, leaky_slope)
         if i < last:
@@ -74,8 +94,12 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray,
     g = np.asarray(grad_out, dtype=np.float64)
     last = len(params.weights) - 1
     for i in range(last, -1, -1):
-        if i != last:
-            g = g * np.where(pre[i] > 0, 1.0, leaky_slope)
+        if i != last:  # g is the fresh product below, never grad_out
+            # LeakyReLU derivative without a branch: 1 - slope + slope is
+            # exactly 1.0 for 0 <= slope < 1, so each factor is 1.0 or slope
+            mask = np.multiply(pre[i] > 0, 1 - leaky_slope)
+            mask += leaky_slope
+            g *= mask
         grad_w[i] = acts[i].T @ g
         grad_b[i] = g.sum(axis=0)
         g = g @ params.weights[i].T
@@ -84,34 +108,38 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray,
 
 @dataclass
 class AdamState:
-    m_w: list
-    v_w: list
-    m_b: list
-    v_b: list
+    m: np.ndarray  # first moment, laid out like MlpParams.flat
+    v: np.ndarray  # second moment, same layout
     t: int = 0
 
 
 def adam_init(params: MlpParams) -> AdamState:
-    return AdamState(
-        m_w=[np.zeros_like(w) for w in params.weights],
-        v_w=[np.zeros_like(w) for w in params.weights],
-        m_b=[np.zeros_like(b) for b in params.biases],
-        v_b=[np.zeros_like(b) for b in params.biases],
-    )
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(params: MlpParams, grad_w, grad_b, state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """Standard Adam update with bias correction, in place."""
+    """Standard Adam update with bias correction, in place, over the whole
+    flat buffer at once. The gradient lists are read, not modified."""
     state.t += 1
     t = state.t
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for i in range(len(params.weights)):
-        state.m_w[i] = beta1 * state.m_w[i] + (1 - beta1) * grad_w[i]
-        state.v_w[i] = beta2 * state.v_w[i] + (1 - beta2) * grad_w[i] ** 2
-        params.weights[i] -= lr * (state.m_w[i] / c1) / (np.sqrt(state.v_w[i] / c2) + eps)
-        state.m_b[i] = beta1 * state.m_b[i] + (1 - beta1) * grad_b[i]
-        state.v_b[i] = beta2 * state.v_b[i] + (1 - beta2) * grad_b[i] ** 2
-        params.biases[i] -= lr * (state.m_b[i] / c1) / (np.sqrt(state.v_b[i] / c2) + eps)
+    g = np.concatenate([np.ravel(a) for pair in zip(grad_w, grad_b)
+                        for a in pair], dtype=np.float64)  # a fresh copy
+    m, v = state.m, state.v
+    step = np.multiply(g, 1 - beta1)
+    m *= beta1
+    m += step                       # m = beta1*m + (1-beta1)*g
+    np.square(g, out=g)
+    g *= 1 - beta2
+    v *= beta2
+    v += g                          # v = beta2*v + (1-beta2)*g**2
+    np.divide(m, c1, out=step)
+    step *= lr
+    np.divide(v, c2, out=g)
+    np.sqrt(g, out=g)
+    g += eps
+    step /= g                       # lr*(m/c1) / (sqrt(v/c2)+eps)
+    params.flat -= step

@@ -172,7 +172,6 @@ def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
     dec_gw, dec_gb, grad_codes = mlp_backward(
         model.decoder, cache_d, grad_w_hat, model.leaky_slope)
 
-    grad_codes = grad_codes.copy()
     grad_codes[:, :k] += cfg.alpha * 2.0 * (codes[:, :k] - attrs) / b
 
     if cfg.corr_mode != CORR_NONE and cfg.beta != 0.0:
@@ -185,10 +184,13 @@ def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
     enc_gw, enc_gb, _ = mlp_backward(
         model.encoder, cache_e, grad_codes, model.leaky_slope)
 
-    for grads in (enc_gw, enc_gb, dec_gw, dec_gb):
-        for g in grads:
-            if not np.isfinite(g).all():
-                raise NonFinite("non-finite gradient")
+    for net, grads in (("encoder", (enc_gw, enc_gb)),
+                       ("decoder", (dec_gw, dec_gb))):
+        for kind, layers in zip(("weight", "bias"), grads):
+            for i, g in enumerate(layers):
+                if not np.isfinite(g).all():
+                    raise NonFinite(f"non-finite {net} {kind} gradient "
+                                    f"in layer {i}")
     return enc_gw, enc_gb, dec_gw, dec_gb, comps
 
 
@@ -208,6 +210,10 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig,
     k = a.shape[1]
     if n == 0:
         raise ConfigInvalid("empty dataset")
+    for name, arr in (("latents_top", x), ("attrs_gauss", a)):
+        bad = ~np.isfinite(arr).all(axis=1)
+        if bad.any():
+            raise NonFinite(f"{name} row {np.argmax(bad)} is not finite")
     dim_c = d if dim_c is None else dim_c
     if dim_c <= k:
         raise ConfigInvalid(f"code size {dim_c} must exceed attribute count {k}")
@@ -238,7 +244,7 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
 
     history = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         sums = {"recons": 0.0, "attr": 0.0, "corr": 0.0}
         count = 0
@@ -246,8 +252,12 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig,
             idx = order[start : start + cfg.batch_size]
             if idx.size < min_batch:
                 idx = order[-min_batch:]
-            enc_gw, enc_gb, dec_gw, dec_gb, comps = backward(
-                model, x[idx], a[idx], cfg, gamma)
+            try:
+                enc_gw, enc_gb, dec_gw, dec_gb, comps = backward(
+                    model, x[idx], a[idx], cfg, gamma)
+            except NonFinite as exc:
+                raise NonFinite(f"epoch {epoch}, batch at position {start} "
+                                f"(first row {idx[0]}): {exc}") from exc
             adam_step(model.encoder, enc_gw, enc_gb, state_e,
                       cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2,
                       cfg.adam_eps)
@@ -285,7 +295,13 @@ def save_model(model: EncoderDecoder, cfg: TrainConfig, directory) -> None:
 
 def load_model(directory):
     directory = Path(directory)
-    manifest = json.loads((directory / "model_meta.json").read_text())
+    meta_path = directory / "model_meta.json"
+    manifest = json.loads(meta_path.read_text())
+    slope = manifest["leaky_slope"]
+    # the activation is max(x, slope * x), a LeakyReLU only for 0 <= slope < 1
+    if isinstance(slope, bool) or not (isinstance(slope, (int, float))
+                                       and 0 <= slope < 1):
+        raise ConfigInvalid(f"{meta_path}: leaky_slope {slope!r} is not in [0, 1)")
     nets = {}
     for prefix, sizes_key in (("enc", "enc_layer_sizes"), ("dec", "dec_layer_sizes")):
         n_layers = len(manifest[sizes_key]) - 1
@@ -296,7 +312,7 @@ def load_model(directory):
         encoder=nets["enc"],
         decoder=nets["dec"],
         n_attributes=int(manifest["K"]),
-        leaky_slope=float(manifest["leaky_slope"]),
+        leaky_slope=float(slope),
     )
     cfg = TrainConfig(**manifest["train_config"])
     return model, cfg

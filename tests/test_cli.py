@@ -136,5 +136,43 @@ def test_config_file_value_outside_choices(workspace, tmp_path, capsys):
     assert run("train", "--workspace", workspace, "--config", cfg) == cli.CONFIG_ERROR
     assert "config error:" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("config", [{"n": 2.5}, {"n": True}, {"n": "2.5"},
+                                    {"correlated": "yes"}, {"mapping": 1}])
+def test_config_file_value_of_wrong_type(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run("gen-data", "--workspace", tmp_path / "ws",
+               "--config", cfg) == cli.CONFIG_ERROR
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["func", "command"])
+def test_config_file_key_that_is_not_an_option(tmp_path, capsys, key):
+    # both are attributes of the parsed arguments, but not options
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    assert run("gen-data", "--workspace", tmp_path / "ws",
+               "--config", cfg) == cli.CONFIG_ERROR
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_config_file_values_converted_by_option_type(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "40", "m": 8, "k": 2, "q": 2,
+                               "correlated": True}))
+    ws = tmp_path / "ws"
+    assert run("gen-data", "--workspace", ws, "--config", cfg) == 0
+    assert npyio.read_matrix(ws / "latents.npy").shape == (40, 8)
+    cfg.write_text(json.dumps({"d": 4}))
+    assert run("fit", "--workspace", ws, "--config", cfg) == 0
+    cfg.write_text(json.dumps({"alpha": 1, "learning-rate": "1e-3", "epochs": 1,
+                               "batch-size": 32, "hidden-size": 8, "n-layers": 2}))
+    assert run("train", "--workspace", ws, "--config", cfg) == 0
+    meta = json.loads((ws / "model_meta.json").read_text())["train_config"]
+    assert meta["alpha"] == 1.0 and isinstance(meta["alpha"], float)
+    assert meta["learning_rate"] == 1e-3 and meta["hidden_size"] == 8
+
+
 def test_missing_data_is_data_error(tmp_path):
     assert run("fit", "--workspace", tmp_path, "--d", 4) == cli.DATA_ERROR

@@ -109,3 +109,181 @@ def test_adam_deterministic():
             mlp.adam_step(p, g_w, g_b, state, lr=1e-3)
         results.append(p)
     np.testing.assert_array_equal(results[0].weights[1], results[1].weights[1])
+
+
+# The np.where forward and backward and the per-layer Adam that the flat,
+# branch-free versions replaced, kept as references: the trainer's output
+# must not move by a bit.
+
+def where_forward(weights, biases, x, slope):
+    acts, pre, h = [x], [], x
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w + b
+        pre.append(z)
+        h = z if i == last else np.where(z > 0, z, slope * z)
+        if i < last:
+            acts.append(h)
+    return h, (acts, pre)
+
+
+def where_backward(weights, cache, grad_out, slope):
+    acts, pre = cache
+    grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+    g = grad_out
+    last = len(weights) - 1
+    for i in range(last, -1, -1):
+        if i != last:
+            g = g * np.where(pre[i] > 0, 1.0, slope)
+        grad_w[i] = acts[i].T @ g
+        grad_b[i] = g.sum(axis=0)
+        g = g @ weights[i].T
+    return grad_w, grad_b, g
+
+
+def per_layer_adam(weights, biases, grad_w, grad_b, moments, t, lr,
+                   beta1=0.9, beta2=0.999, eps=1e-8):
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for params, grads, (m, v) in ((weights, grad_w, moments[0]),
+                                  (biases, grad_b, moments[1])):
+        for i in range(len(params)):
+            m[i] = beta1 * m[i] + (1 - beta1) * grads[i]
+            v[i] = beta2 * v[i] + (1 - beta2) * grads[i] ** 2
+            params[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+SIGNED_ZERO_SIZES = [3, 7, 7, 2]
+
+
+def zero_pre_activation_net(seed):
+    """A random net and batch whose first hidden pre-activations hold exact
+    zeros (a zero weight column with a zero bias), the rest mixed signs."""
+    rng = np.random.default_rng(seed)
+    p = mlp.init_params(seed, SIGNED_ZERO_SIZES)
+    for b in p.biases:
+        b[:] = rng.normal(size=b.shape)
+    p.weights[0][:, 0] = 0.0
+    p.biases[0][0] = -0.0
+    return p, rng.normal(size=(9, 3))
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forward_backward_bit_identical_to_where_reference(seed, slope):
+    p, x = zero_pre_activation_net(seed)
+    y, cache = mlp.mlp_forward(p, x, slope)
+    ref_y, ref_cache = where_forward(p.weights, p.biases, x, slope)
+    assert (cache[1][0] == 0).any()
+    assert same_bits(y, ref_y)
+    for got, want in zip(cache[0] + cache[1], ref_cache[0] + ref_cache[1]):
+        assert same_bits(got, want)
+    # a matmul plus a bias never yields -0.0, so the backward mask gets its
+    # signed zeros written into both caches
+    for pre in (cache[1], ref_cache[1]):
+        pre[1][0, :3] = -0.0
+        pre[1][1, :3] = 0.0
+    grad_out = np.random.default_rng(seed + 10).normal(size=y.shape)
+    grad_out_before = grad_out.copy()
+    got = mlp.mlp_backward(p, cache, grad_out, slope)
+    want = where_backward(p.weights, ref_cache, grad_out, slope)
+    for g_list, w_list in zip(got[:2], want[:2]):
+        for g, w in zip(g_list, w_list):
+            assert same_bits(g, w)
+    assert same_bits(got[2], want[2])
+    assert same_bits(grad_out, grad_out_before)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.5])
+def test_leaky_relu_bit_identical_to_where(slope):
+    x = np.concatenate([np.random.default_rng(3).normal(size=200),
+                        [0.0, -0.0, 1e-310, -1e-310, 1e308, -1e308,
+                         -np.inf, np.nan]])
+    if slope > 0:
+        x = np.append(x, np.inf)
+    with np.errstate(invalid="ignore"):  # 0 * -inf
+        assert same_bits(mlp.leaky_relu(x, slope), np.where(x > 0, x, slope * x))
+
+
+def test_leaky_relu_slope_zero_maps_inf_to_nan():
+    # the one input where max(x, slope * x) departs from the where form
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(mlp.leaky_relu(np.array([np.inf]), 0.0)[0])
+
+
+def test_adam_bit_identical_to_per_layer_reference():
+    rng = np.random.default_rng(4)
+    p = mlp.init_params(4, [5, 6, 6, 3])
+    ref_w = [w.copy() for w in p.weights]
+    ref_b = [b.copy() for b in p.biases]
+    moments = [([np.zeros_like(a) for a in arrs], [np.zeros_like(a) for a in arrs])
+               for arrs in (ref_w, ref_b)]
+    state = mlp.adam_init(p)
+    for t in range(1, 21):
+        g_w = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=w.shape)
+               for w in ref_w]
+        g_b = [rng.normal(size=b.shape) for b in ref_b]
+        g_b[0][0] = 0.0
+        mlp.adam_step(p, g_w, g_b, state, lr=1e-3)
+        per_layer_adam(ref_w, ref_b, g_w, g_b, moments, t, lr=1e-3)
+    for got, want in zip(p.weights + p.biases, ref_w + ref_b):
+        assert same_bits(got, want)
+
+
+def test_adam_leaves_gradients_unchanged():
+    p = mlp.init_params(0, [3, 4, 2])
+    state = mlp.adam_init(p)
+    rng = np.random.default_rng(0)
+    g_w = [rng.normal(size=w.shape) for w in p.weights]
+    g_b = [rng.normal(size=b.shape) for b in p.biases]
+    before = [g.copy() for g in g_w + g_b]
+    for _ in range(3):
+        mlp.adam_step(p, g_w, g_b, state, lr=0.1)
+    for g, b in zip(g_w + g_b, before):
+        assert same_bits(g, b)
+
+
+def test_weights_and_biases_are_views_of_flat():
+    p = mlp.init_params(0, [3, 4, 2])
+    assert p.flat.ndim == 1
+    assert p.flat.size == sum(w.size + b.size for w, b in zip(p.weights, p.biases))
+    for a in p.weights + p.biases:
+        assert np.shares_memory(a, p.flat)
+    p.weights[1][2, 1] = 7.5
+    assert (p.flat == 7.5).sum() == 1
+    p.flat[:] = -1.0
+    for a in p.weights + p.biases:
+        np.testing.assert_array_equal(a, -1.0)
+    p.biases[0] += 3.0
+    np.testing.assert_array_equal(p.flat[12:16], 2.0)  # w0 is 3 x 4
+
+
+def test_copy_shares_no_memory():
+    p = mlp.init_params(0, [3, 4, 2])
+    q = p.copy()
+    assert not np.shares_memory(p.flat, q.flat)
+    assert same_bits(p.flat, q.flat)
+    q.weights[0][0, 0] += 1.0
+    q.biases[1][0] += 1.0
+    assert p.weights[0][0, 0] != q.weights[0][0, 0]
+    assert p.biases[1][0] != q.biases[1][0]
+
+
+def test_params_from_int_and_non_contiguous_arrays():
+    w0 = np.arange(12).reshape(4, 3).T          # int, Fortran-ordered view
+    w1 = np.ones((8, 2))[::2]                   # strided rows
+    b0, b1 = np.array([1, -2, 0, 3]), np.zeros(2)
+    p = mlp.MlpParams([w0, w1], [b0, b1])
+    assert p.flat.dtype == np.float64
+    assert [w.shape for w in p.weights] == [(3, 4), (4, 2)]
+    x = np.random.default_rng(0).normal(size=(5, 3))
+    y, _ = mlp.mlp_forward(p, x)
+    ref, _ = where_forward([w0.astype(float), w1.copy()],
+                           [b0.astype(float), b1], x, 0.01)
+    assert same_bits(y, ref)
+    assert not np.shares_memory(p.flat, w1)

@@ -1,8 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from latentaxes import training
-from latentaxes.errors import BatchTooSmall, ConfigInvalid, DimensionMismatch
+from latentaxes.errors import (
+    BatchTooSmall,
+    ConfigInvalid,
+    DimensionMismatch,
+    NonFinite,
+)
 from latentaxes.mlp import init_params
 from latentaxes.training import (
     EncoderDecoder,
@@ -187,6 +194,25 @@ class TestGradients:
         for a, b in zip(g1[0], g2[0]):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("call,net", [(0, "decoder"), (1, "encoder")])
+    def test_non_finite_gradient_names_net_and_layer(self, setup, monkeypatch,
+                                                     call, net):
+        calls = []
+        real = training.mlp_backward
+
+        def poisoned(*args):
+            grad_w, grad_b, grad_in = real(*args)
+            if len(calls) == call:
+                grad_b[1][0] = np.nan
+            calls.append(1)
+            return grad_w, grad_b, grad_in
+
+        monkeypatch.setattr(training, "mlp_backward", poisoned)
+        model, x, attrs = setup
+        cfg = TrainConfig(alpha=1.0, beta=0.0, corr_mode=training.CORR_NONE)
+        with pytest.raises(NonFinite, match=f"{net} bias gradient in layer 1"):
+            backward(model, x, attrs, cfg)
+
     def test_zero_variance_column_finite(self):
         rng = np.random.default_rng(12)
         codes = np.column_stack([np.full(8, 1.0), rng.normal(size=(8, 2))])
@@ -251,6 +277,25 @@ class TestTrain:
         with pytest.raises(ConfigInvalid):
             train(x[:31], attrs[:31], cfg)
 
+    def test_non_finite_mid_training_names_epoch_and_batch(self):
+        x, attrs = self.make_data(n=64)
+        cfg = TrainConfig(alpha=1.0, beta=0.1, epochs=3, batch_size=32,
+                          learning_rate=1e300, hidden_size=4, n_layers=2)
+        with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
+            train(x, attrs, cfg)
+        # the first step is finite; its huge update breaks the second batch
+        assert str(info.value).startswith("epoch 0, batch at position 32 "
+                                          "(first row ")
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_inputs(self, which, bad):
+        data = list(self.make_data(n=64))
+        data[which][[5, 9], 1] = bad
+        name = ("latents_top", "attrs_gauss")[which]
+        with pytest.raises(NonFinite, match=f"^{name} row 5 is not finite$"):
+            train(*data, TrainConfig(epochs=1, hidden_size=4, n_layers=2))
+
     def test_misaligned_data(self):
         with pytest.raises(DimensionMismatch):
             train(np.ones((5, 4)), np.ones((6, 2)), TrainConfig(epochs=1))
@@ -265,3 +310,22 @@ class TestTrain:
         assert loaded_cfg == cfg
         for w1, w2 in zip(model.decoder.weights, loaded.decoder.weights):
             np.testing.assert_array_equal(w1, w2)
+
+    @pytest.mark.parametrize("slope", [1.5, 1.0, -0.01, float("nan"), True,
+                                       "0.01", None])
+    def test_load_model_refuses_slope_outside_unit_interval(self, tmp_path,
+                                                            slope):
+        training.save_model(small_model(), TrainConfig(), tmp_path)
+        meta_path = tmp_path / "model_meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["leaky_slope"] = slope
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ConfigInvalid, match="model_meta.json"):
+            training.load_model(tmp_path)
+
+    @pytest.mark.parametrize("slope", [0, 0.0, 0.5])
+    def test_load_model_keeps_slope_in_unit_interval(self, tmp_path, slope):
+        model = small_model()
+        model.leaky_slope = slope
+        training.save_model(model, TrainConfig(), tmp_path)
+        assert training.load_model(tmp_path)[0].leaky_slope == slope
