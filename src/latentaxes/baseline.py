@@ -10,9 +10,10 @@ import numpy as np
 
 from .editor import first_hit
 from .errors import DimensionMismatch, SingleClass
-from .npyio import read_matrix, write_matrix
+from .npyio import read_matrix, read_meta, write_matrix
 
 DEFAULT_AMPLITUDES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
+FIT_L2, FIT_ITERATIONS, FIT_LR = 1e-3, 500, 0.1
 
 
 @dataclass(frozen=True)
@@ -22,9 +23,7 @@ class LinearDirection:
     space: str = "W"
 
 
-def fit_direction(latents: np.ndarray, labels: np.ndarray,
-                  l2: float = 1e-3, iterations: int = 500,
-                  lr: float = 0.1) -> LinearDirection:
+def fit_direction(latents: np.ndarray, labels: np.ndarray) -> LinearDirection:
     """Gradient-descent logistic fit on standardized features; the resulting
     weight vector is mapped back to the original space and unit-normalized."""
     x = np.asarray(latents, dtype=np.float64)
@@ -41,11 +40,11 @@ def fit_direction(latents: np.ndarray, labels: np.ndarray,
     n, m = xs.shape
     w = np.zeros(m)
     b = 0.0
-    for _ in range(iterations):
+    for _ in range(FIT_ITERATIONS):
         p = 1.0 / (1.0 + np.exp(-(xs @ w + b)))
         err = p - y
-        w -= lr * (xs.T @ err / n + 2.0 * l2 * w)
-        b -= lr * err.mean()
+        w -= FIT_LR * (xs.T @ err / n + 2.0 * FIT_L2 * w)
+        b -= FIT_LR * err.mean()
     w_orig = w / sigma
     norm = np.linalg.norm(w_orig)
     return LinearDirection(unit=w_orig / norm, bias=float(b))
@@ -75,13 +74,12 @@ class LinearEditor:
                           for amp in amplitudes))
 
 
-def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray,
-                       **fit_kwargs) -> LinearEditor:
+def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEditor:
     """Fit one direction per attribute, labels = raw value thresholded at 0.5."""
     dirs = []
     for k in range(raw_attrs.shape[1]):
         labels = (raw_attrs[:, k] >= 0.5).astype(np.float64)
-        dirs.append(fit_direction(latents, labels, **fit_kwargs))
+        dirs.append(fit_direction(latents, labels))
     return LinearEditor(directions=tuple(dirs))
 
 
@@ -98,7 +96,8 @@ def save_directions(editor: LinearEditor, directory) -> None:
 def load_directions(directory) -> LinearEditor:
     directory = Path(directory)
     units = read_matrix(directory / "directions.npy")
-    meta = json.loads((directory / "directions_meta.json").read_text())
+    meta = read_meta(directory / "directions_meta.json",
+                     {"biases": list, "space": str})
     dirs = tuple(LinearDirection(unit=units[i], bias=float(meta["biases"][i]),
                                  space=meta["space"])
                  for i in range(units.shape[0]))

@@ -27,6 +27,9 @@ from .errors import ConfigInvalid, LatentAxesError, NonFinite, NonPSD
 from .npyio import load_dataset, read_matrix, write_matrix
 
 CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
+# the `train` options: TrainConfig fields, with its defaults and types
+TRAIN_OPTIONS = ("alpha", "beta", "epochs", "batch_size", "learning_rate",
+                 "hidden_size", "n_layers")
 
 class CommandParser(argparse.ArgumentParser):
     """A subcommand's parser that keeps its options by destination name, so
@@ -123,11 +126,8 @@ def cmd_train(args) -> int:
     transform = gaussianize.load_transform(ws)
 
     cfg = training.TrainConfig(
-        alpha=args.alpha, beta=args.beta, epochs=args.epochs,
-        batch_size=args.batch_size, corr_mode=training.VARIANT_MODES[args.variant],
-        learning_rate=args.learning_rate, seed=args.seed,
-        hidden_size=args.hidden_size, n_layers=args.n_layers)
-
+        corr_mode=training.VARIANT_MODES[args.variant], seed=args.seed,
+        **{name: getattr(args, name) for name in TRAIN_OPTIONS})
     top = pca.project(pca_model, latents).top
     attrs_gauss = gaussianize.gaussianize_columns(transform, attrs)
     model, history = training.train(top, attrs_gauss, cfg)
@@ -204,8 +204,11 @@ def cmd_evaluate(args) -> int:
                 frechets.append(float("nan"))
         methods[name] = {
             "rates": rates,
+            "n_negatives": [p.n_negatives for p in pairs_per_attr],
+            "n_success": [p.n_success for p in pairs_per_attr],
             "variation_matrix": mat,
-            "off_diagonal_sum": evaluation.off_diagonal_sum(np.nan_to_num(mat)),
+            # NaN (null) when an attribute had no successful edit
+            "off_diagonal_sum": evaluation.off_diagonal_sum(mat),
             "identity": float(np.mean(identities)) if identities else float("nan"),
             "frechet": frechets,
         }
@@ -224,8 +227,9 @@ def cmd_evaluate(args) -> int:
     out.write_text(json.dumps(report, indent=2))
     print(f"wrote {out}")
     for name, metrics in methods.items():
+        off = metrics["off_diagonal_sum"]
         print(f"  {name}: mean rate {np.nanmean(metrics['rates']):.3f}, "
-              f"off-diagonal sum {metrics['off_diagonal_sum']:.3f}")
+              f"off-diagonal sum {'n/a' if np.isnan(off) else f'{off:.3f}'}")
     return 0
 
 
@@ -248,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=8, help="identity subspace dimension")
     p.add_argument("--correlated", action="store_true",
                    help="plant correlations between adjacent attributes")
-    p.add_argument("--mapping", choices=("linear", "tanh-mixed"), default="linear")
+    p.add_argument("--mapping", choices=oracle.MAPPING_KINDS, default="linear")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
@@ -260,13 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an autoencoder variant")
     common(p)
     p.add_argument("--variant", choices=tuple(training.VARIANT_MODES), default="C")
-    p.add_argument("--alpha", type=float, default=1e-5)
-    p.add_argument("--beta", type=float, default=1e-5)
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--learning-rate", type=float, default=1e-4)
-    p.add_argument("--hidden-size", type=int, default=512)
-    p.add_argument("--n-layers", type=int, default=8)
+    defaults = training.TrainConfig()
+    for name in TRAIN_OPTIONS:
+        value = getattr(defaults, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(value),
+                       default=value)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("edit", help="edit one attribute of a latent batch")

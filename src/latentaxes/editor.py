@@ -29,7 +29,7 @@ class OracleFailure(LatentAxesError):
 @dataclass(frozen=True)
 class EditableCode:
     attr_slots: np.ndarray   # (K,) or (n, K), gaussianized scale
-    free_slots: np.ndarray   # (dim_c - K,) or (n, dim_c - K)
+    free_slots: np.ndarray   # (d - K,) or (n, d - K)
     residual: np.ndarray     # (m - d,) or (n, m - d)
 
 
@@ -76,11 +76,6 @@ def raw_to_slot(pipeline: EditPipeline, k: int, raw_value: float) -> float:
     if not 0.0 <= raw_value <= 1.0:
         raise ValueError(f"raw attribute value {raw_value} outside [0, 1]")
     return gaussianize_value(pipeline.transform, k, raw_value)
-
-
-def set_attribute_raw(pipeline: EditPipeline, code: EditableCode, k: int,
-                      raw_value: float) -> EditableCode:
-    return set_attribute(code, k, raw_to_slot(pipeline, k, raw_value))
 
 
 def edit(pipeline: EditPipeline, w: np.ndarray, k: int,

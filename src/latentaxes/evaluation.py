@@ -70,6 +70,7 @@ def variation_matrix(pairs_per_attr, classify_fn) -> np.ndarray:
 
 
 def off_diagonal_sum(mat: np.ndarray) -> float:
+    """Sum of |off-diagonal entries|: NaN if any is NaN."""
     mat = np.asarray(mat, dtype=np.float64)
     return float(np.abs(mat[~np.eye(*mat.shape, dtype=bool)]).sum())
 
@@ -127,8 +128,9 @@ def make_report(config=None, seeds=None, amplitude_grid=None, threshold=None,
                 methods=None) -> dict:
     """Assemble the machine-readable evaluation report.
 
-    ``methods`` maps method name -> dict with keys rates, variation_matrix,
-    off_diagonal_sum, identity, frechet (any may be missing -> null).
+    ``methods`` maps method name -> dict with keys rates, n_negatives,
+    n_success, variation_matrix, off_diagonal_sum, identity, frechet (any
+    may be missing -> null; NaN -> null).
     """
     def clean(value):
         if isinstance(value, np.ndarray):
@@ -152,6 +154,8 @@ def make_report(config=None, seeds=None, amplitude_grid=None, threshold=None,
     for name, metrics in (methods or {}).items():
         report["methods"][name] = {
             "well_edited_rates": clean(metrics.get("rates")),
+            "n_negatives": clean(metrics.get("n_negatives")),
+            "n_success": clean(metrics.get("n_success")),
             "variation_matrix": clean(metrics.get("variation_matrix")),
             "off_diagonal_sum": clean(metrics.get("off_diagonal_sum")),
             "identity_similarity": clean(metrics.get("identity")),

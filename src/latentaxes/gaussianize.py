@@ -7,7 +7,6 @@ independent) with the inverse normal CDF (`scipy.special.ndtri`), and back
 by interpolating the empirical quantile function.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,8 +100,6 @@ def save_transform(t: AttributeTransform, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_matrix(t.tables, directory / "attr_tables.npy")
-    meta = {"n": t.n, "K": t.n_attributes}
-    (directory / "attr_meta.json").write_text(json.dumps(meta, indent=2))
 
 
 def load_transform(directory) -> AttributeTransform:

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
 
 @dataclass
 class MlpParams:
@@ -118,28 +120,27 @@ def adam_init(params: MlpParams) -> AdamState:
 
 
 def adam_step(params: MlpParams, grad_w, grad_b, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              lr: float) -> None:
     """Standard Adam update with bias correction, in place, over the whole
     flat buffer at once. The gradient lists are read, not modified."""
     state.t += 1
     t = state.t
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     g = np.concatenate([np.ravel(a) for pair in zip(grad_w, grad_b)
                         for a in pair], dtype=np.float64)  # a fresh copy
     m, v = state.m, state.v
-    step = np.multiply(g, 1 - beta1)
-    m *= beta1
+    step = np.multiply(g, 1 - ADAM_BETA1)
+    m *= ADAM_BETA1
     m += step                       # m = beta1*m + (1-beta1)*g
     np.square(g, out=g)
-    g *= 1 - beta2
-    v *= beta2
+    g *= 1 - ADAM_BETA2
+    v *= ADAM_BETA2
     v += g                          # v = beta2*v + (1-beta2)*g**2
     np.divide(m, c1, out=step)
     step *= lr
     np.divide(v, c2, out=g)
     np.sqrt(g, out=g)
-    g += eps
+    g += ADAM_EPS
     step /= g                       # lr*(m/c1) / (sqrt(v/c2)+eps)
     params.flat -= step

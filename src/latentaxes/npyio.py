@@ -1,19 +1,23 @@
 """`.npy` v1.0 reader/writer for dense 2-D float matrices, through
-`numpy.lib.format`, with typed errors.
+`numpy.lib.format`, with typed errors, and the checked reader of the JSON
+metadata files that sit beside them in a workspace.
 
 Only the subset needed for latent/attribute interchange is supported:
 version 1.0, little-endian float32/float64, C-order, rank 2. Everything
 else is rejected with a specific error so malformed dumps fail loudly.
 """
 
+import json
 import os
 import tokenize
+from pathlib import Path
 
 import numpy as np
 from numpy.lib import format as npy_format
 
 from .errors import (
     BadMagic,
+    ConfigInvalid,
     NonFinite,
     RowCountMismatch,
     TruncatedFile,
@@ -80,3 +84,30 @@ def load_dataset(latent_path, attr_path):
             f"{latents.shape[0]} latents vs {attrs.shape[0]} attribute rows"
         )
     return latents, attrs
+
+
+def check_keys(obj: dict, schema: dict, where) -> dict:
+    """``obj`` itself, once it holds every key of ``schema`` with a value of
+    the type named there (an int is taken where a float is wanted, a bool
+    never where a number is); otherwise ConfigInvalid naming ``where``."""
+    for key, kind in schema.items():
+        if key not in obj:
+            raise ConfigInvalid(f"{where}: missing key {key!r}")
+        value = obj[key]
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise ConfigInvalid(f"{where}: {key} {value!r} is not of "
+                                f"type {kind.__name__}")
+    return obj
+
+
+def read_meta(path, schema: dict) -> dict:
+    """The JSON object of a workspace metadata file, checked against
+    ``schema`` (key -> type) by ``check_keys``. A file that is not a JSON
+    object is a ConfigInvalid naming it; one that is missing raises OSError."""
+    try:
+        meta = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigInvalid(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigInvalid(f"{path}: must hold a JSON object")
+    return check_keys(meta, schema, path)

@@ -13,8 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .npyio import read_matrix, write_matrix
+from .errors import ConfigInvalid, DimensionMismatch
+from .npyio import read_matrix, read_meta, write_matrix
+
+GAIN = 2.0  # classifier logit scale: sigmoid(GAIN * mix * A * w)
+MAPPING_KINDS = ("linear", "tanh-mixed")
 
 
 @dataclass(frozen=True)
@@ -22,8 +25,7 @@ class SyntheticWorld:
     attr_directions: np.ndarray   # (K, m), orthonormal rows
     mix: np.ndarray               # (K, K), unit-diagonal lower-triangular
     identity_basis: np.ndarray    # (m, q), orthonormal, orthogonal to attr rows
-    gain: float
-    mapping_kind: str             # "linear" or "tanh-mixed"
+    mapping_kind: str             # one of MAPPING_KINDS
     mixing_matrix: np.ndarray     # (m, m), used by tanh-mixed sampling
     seed: int
 
@@ -36,11 +38,17 @@ class SyntheticWorld:
         return self.attr_directions.shape[0]
 
 
+def _check_mapping_kind(kind, where: str) -> None:
+    if kind not in MAPPING_KINDS:
+        raise ConfigInvalid(f"{where}mapping_kind {kind!r} is not one of "
+                            f"{', '.join(MAPPING_KINDS)}")
+
+
 def make_world(m: int, n_attributes: int, q: int, correlated: bool = False,
-               seed: int = 0, gain: float = 2.0,
-               mapping_kind: str = "linear") -> SyntheticWorld:
+               seed: int = 0, mapping_kind: str = "linear") -> SyntheticWorld:
     """Build a seeded world. Attribute directions and the identity basis come
     from one QR factorization, so they are exactly mutually orthogonal."""
+    _check_mapping_kind(mapping_kind, "")
     k = n_attributes
     if m <= k + q:
         raise DimensionMismatch(f"need m > K + q, got m={m}, K={k}, q={q}")
@@ -54,7 +62,7 @@ def make_world(m: int, n_attributes: int, q: int, correlated: bool = False,
         mix[np.arange(1, k), np.arange(k - 1)] = 0.5
     mixing = rng.normal(size=(m, m)) / np.sqrt(m)
     return SyntheticWorld(attr_directions=a, mix=mix,
-                          identity_basis=identity_basis, gain=gain,
+                          identity_basis=identity_basis,
                           mapping_kind=mapping_kind, mixing_matrix=mixing,
                           seed=seed)
 
@@ -68,11 +76,11 @@ def sample_w(world: SyntheticWorld, n: int, seed: int) -> np.ndarray:
 
 
 def classify(world: SyntheticWorld, w: np.ndarray) -> np.ndarray:
-    """Raw attribute outputs in (0, 1): sigmoid(gain * mix * A * w)."""
+    """Raw attribute outputs in (0, 1): sigmoid(GAIN * mix * A * w)."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape[-1] != world.dim:
         raise DimensionMismatch(f"latent dim {w.shape[-1]} != {world.dim}")
-    logits = world.gain * (w @ world.attr_directions.T) @ world.mix.T
+    logits = GAIN * (w @ world.attr_directions.T) @ world.mix.T
     return 1.0 / (1.0 + np.exp(-logits))
 
 
@@ -96,20 +104,20 @@ def save_world(world: SyntheticWorld, directory) -> None:
     write_matrix(world.mix, directory / "world_mix.npy")
     write_matrix(world.identity_basis, directory / "world_identity_basis.npy")
     write_matrix(world.mixing_matrix, directory / "world_mixing.npy")
-    meta = {"gain": world.gain, "mapping_kind": world.mapping_kind,
-            "seed": world.seed}
+    meta = {"mapping_kind": world.mapping_kind, "seed": world.seed}
     (directory / "world_meta.json").write_text(json.dumps(meta, indent=2))
 
 
 def load_world(directory) -> SyntheticWorld:
     directory = Path(directory)
-    meta = json.loads((directory / "world_meta.json").read_text())
+    meta_path = directory / "world_meta.json"
+    meta = read_meta(meta_path, {"mapping_kind": str, "seed": int})
+    _check_mapping_kind(meta["mapping_kind"], f"{meta_path}: ")
     return SyntheticWorld(
         attr_directions=read_matrix(directory / "world_attr_directions.npy"),
         mix=read_matrix(directory / "world_mix.npy"),
         identity_basis=read_matrix(directory / "world_identity_basis.npy"),
         mixing_matrix=read_matrix(directory / "world_mixing.npy"),
-        gain=float(meta["gain"]),
         mapping_kind=meta["mapping_kind"],
-        seed=int(meta["seed"]),
+        seed=meta["seed"],
     )

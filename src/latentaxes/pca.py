@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, NonFinite
-from .npyio import read_matrix, write_matrix
+from .npyio import read_matrix, read_meta, write_matrix
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,6 @@ class PcaModel:
     basis: np.ndarray       # (m, m), columns sorted by descending eigenvalue
     eigenvalues: np.ndarray  # (m,), non-increasing
     split: int              # number of leading components kept editable
-    n_fit: int = 0
 
     @property
     def dim(self) -> int:
@@ -62,13 +61,12 @@ def fit_pca(data: np.ndarray, split: int) -> PcaModel:
     if eigvals[0] == 0.0:
         # all rows identical: identity basis fallback
         return PcaModel(mean=mean, basis=np.eye(m), eigenvalues=np.zeros(m),
-                        split=split, n_fit=n)
+                        split=split)
 
     flip = np.sign(eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(m)])
     flip[flip == 0] = 1.0
     eigvecs = eigvecs * flip
-    return PcaModel(mean=mean, basis=eigvecs, eigenvalues=eigvals,
-                    split=split, n_fit=n)
+    return PcaModel(mean=mean, basis=eigvecs, eigenvalues=eigvals, split=split)
 
 
 def _check_vec(model: PcaModel, w: np.ndarray) -> np.ndarray:
@@ -113,17 +111,16 @@ def save_pca(model: PcaModel, directory) -> None:
     write_matrix(model.mean[None, :], directory / "pca_mean.npy")
     write_matrix(model.basis, directory / "pca_basis.npy")
     write_matrix(model.eigenvalues[None, :], directory / "pca_eigenvalues.npy")
-    meta = {"d": model.split, "m": model.dim, "n_fit": model.n_fit}
+    meta = {"d": model.split}
     (directory / "pca_meta.json").write_text(json.dumps(meta, indent=2))
 
 
 def load_pca(directory) -> PcaModel:
     directory = Path(directory)
-    meta = json.loads((directory / "pca_meta.json").read_text())
+    meta = read_meta(directory / "pca_meta.json", {"d": int})
     return PcaModel(
         mean=read_matrix(directory / "pca_mean.npy")[0],
         basis=read_matrix(directory / "pca_basis.npy"),
         eigenvalues=read_matrix(directory / "pca_eigenvalues.npy")[0],
-        split=int(meta["d"]),
-        n_fit=int(meta.get("n_fit", 0)),
+        split=meta["d"],
     )

@@ -8,7 +8,7 @@ matrix. Gradients are derived by hand; the optimizer is Adam.
 """
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .mlp import (
     mlp_backward,
     mlp_forward,
 )
-from .npyio import read_matrix, write_matrix
+from .npyio import check_keys, read_matrix, read_meta, write_matrix
 
 VAR_EPS = 1e-8  # variance guard in the correlation denominator
 MIN_CORR_BATCH = 32  # fewest rows per batch the correlation loss is fed
@@ -48,10 +48,6 @@ class EncoderDecoder:
     leaky_slope: float = 0.01
 
     @property
-    def dim_c(self) -> int:
-        return self.encoder.weights[-1].shape[1]
-
-    @property
     def input_dim(self) -> int:
         return self.encoder.weights[0].shape[0]
 
@@ -64,9 +60,6 @@ class TrainConfig:
     batch_size: int = 256
     corr_mode: str = CORR_IDENTITY
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     hidden_size: int = 512
     n_layers: int = 8
@@ -194,10 +187,10 @@ def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
     return enc_gw, enc_gb, dec_gw, dec_gb, comps
 
 
-def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig,
-          dim_c=None, gamma_ref=None):
+def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
     """Train the autoencoder on pre-projected latents and gaussianized
-    attributes. Deterministic given (config, data).
+    attributes. The code has as many slots as the input has coordinates.
+    Deterministic given (config, data).
 
     Returns (EncoderDecoder, history) where history is one dict of
     sample-weighted component means per epoch.
@@ -214,9 +207,8 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig,
         bad = ~np.isfinite(arr).all(axis=1)
         if bad.any():
             raise NonFinite(f"{name} row {np.argmax(bad)} is not finite")
-    dim_c = d if dim_c is None else dim_c
-    if dim_c <= k:
-        raise ConfigInvalid(f"code size {dim_c} must exceed attribute count {k}")
+    if d <= k:
+        raise ConfigInvalid(f"code size {d} must exceed attribute count {k}")
     # A shorter last batch is topped up with the rows before it, so the
     # correlation loss never sees a short tail (on 2 rows every correlation
     # is +-1) and an epoch keeps ceil(n / batch_size) steps.
@@ -228,15 +220,14 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig,
     if cfg.corr_mode == CORR_IDENTITY:
         gamma = np.eye(k)
     elif cfg.corr_mode == CORR_DATABASE:
-        gamma = batch_corr(a) if gamma_ref is None else np.asarray(gamma_ref)
+        gamma = batch_corr(a)
     else:
         gamma = None
 
-    enc_sizes = [d] + [cfg.hidden_size] * (cfg.n_layers - 1) + [dim_c]
-    dec_sizes = [dim_c] + [cfg.hidden_size] * (cfg.n_layers - 1) + [d]
+    sizes = [d] + [cfg.hidden_size] * (cfg.n_layers - 1) + [d]
     model = EncoderDecoder(
-        encoder=init_params(cfg.seed, enc_sizes),
-        decoder=init_params(cfg.seed + 1, dec_sizes),
+        encoder=init_params(cfg.seed, sizes),
+        decoder=init_params(cfg.seed + 1, sizes),
         n_attributes=k,
     )
     state_e = adam_init(model.encoder)
@@ -258,12 +249,8 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig,
             except NonFinite as exc:
                 raise NonFinite(f"epoch {epoch}, batch at position {start} "
                                 f"(first row {idx[0]}): {exc}") from exc
-            adam_step(model.encoder, enc_gw, enc_gb, state_e,
-                      cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2,
-                      cfg.adam_eps)
-            adam_step(model.decoder, dec_gw, dec_gb, state_d,
-                      cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2,
-                      cfg.adam_eps)
+            adam_step(model.encoder, enc_gw, enc_gb, state_e, cfg.learning_rate)
+            adam_step(model.decoder, dec_gw, dec_gb, state_d, cfg.learning_rate)
             for key in sums:
                 sums[key] += comps[key] * idx.size
             count += idx.size
@@ -286,7 +273,6 @@ def save_model(model: EncoderDecoder, cfg: TrainConfig, directory) -> None:
         "enc_layer_sizes": model.encoder.layer_sizes,
         "dec_layer_sizes": model.decoder.layer_sizes,
         "K": model.n_attributes,
-        "dim_c": model.dim_c,
         "leaky_slope": model.leaky_slope,
         "train_config": asdict(cfg),
     }
@@ -294,25 +280,50 @@ def save_model(model: EncoderDecoder, cfg: TrainConfig, directory) -> None:
 
 
 def load_model(directory):
+    """The model and config that ``save_model`` wrote. A manifest with a
+    missing, ill-typed or unknown field is a ConfigInvalid, and a weight or
+    bias file of another shape than the manifest's layer sizes a
+    DimensionMismatch; both name the file."""
     directory = Path(directory)
     meta_path = directory / "model_meta.json"
-    manifest = json.loads(meta_path.read_text())
+    manifest = read_meta(meta_path, {"enc_layer_sizes": list,
+                                     "dec_layer_sizes": list, "K": int,
+                                     "leaky_slope": float, "train_config": dict})
     slope = manifest["leaky_slope"]
     # the activation is max(x, slope * x), a LeakyReLU only for 0 <= slope < 1
-    if isinstance(slope, bool) or not (isinstance(slope, (int, float))
-                                       and 0 <= slope < 1):
+    if not 0 <= slope < 1:
         raise ConfigInvalid(f"{meta_path}: leaky_slope {slope!r} is not in [0, 1)")
+    enc, dec = manifest["enc_layer_sizes"], manifest["dec_layer_sizes"]
+    if min(len(enc), len(dec)) < 2 or dec[0] != enc[-1] or dec[-1] != enc[0]:
+        raise DimensionMismatch(f"{meta_path}: layer sizes {enc} and {dec} "
+                                f"are not an encoder and its decoder")
+    cfg_fields = {f.name: f.type for f in fields(TrainConfig)}
+    cfg_values = check_keys(manifest["train_config"], cfg_fields,
+                            f"{meta_path}: train_config")
+    unknown = sorted(set(cfg_values) - set(cfg_fields))
+    if unknown:
+        raise ConfigInvalid(f"{meta_path}: unknown train_config keys "
+                            f"{unknown}; run train again to rewrite it")
+
+    def matrix(name, shape):
+        path = directory / f"{name}.npy"
+        arr = read_matrix(path)
+        if arr.shape != shape:
+            raise DimensionMismatch(f"{path}: shape {arr.shape}, but "
+                                    f"{meta_path.name} gives {shape}")
+        return arr
+
     nets = {}
-    for prefix, sizes_key in (("enc", "enc_layer_sizes"), ("dec", "dec_layer_sizes")):
-        n_layers = len(manifest[sizes_key]) - 1
-        weights = [read_matrix(directory / f"{prefix}_w{i}.npy") for i in range(n_layers)]
-        biases = [read_matrix(directory / f"{prefix}_b{i}.npy")[0] for i in range(n_layers)]
+    for prefix, sizes in (("enc", enc), ("dec", dec)):
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        weights = [matrix(f"{prefix}_w{i}", shape) for i, shape in enumerate(shapes)]
+        biases = [matrix(f"{prefix}_b{i}", (1, n_out))[0]
+                  for i, (_, n_out) in enumerate(shapes)]
         nets[prefix] = MlpParams(weights, biases)
     model = EncoderDecoder(
         encoder=nets["enc"],
         decoder=nets["dec"],
-        n_attributes=int(manifest["K"]),
+        n_attributes=manifest["K"],
         leaky_slope=float(slope),
     )
-    cfg = TrainConfig(**manifest["train_config"])
-    return model, cfg
+    return model, TrainConfig(**cfg_values)

@@ -1,9 +1,12 @@
 import json
+import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from latentaxes import cli, npyio
+from latentaxes import cli, npyio, training
+from latentaxes.errors import ConfigInvalid
 
 
 def run(*argv):
@@ -88,6 +91,54 @@ def test_evaluate_report_schema(workspace):
     assert len(ae["well_edited_rates"]) == 3
     assert len(ae["variation_matrix"]) == 3
     assert (workspace / "variation_linear.csv").exists()
+
+
+def test_evaluate_reports_no_success_as_null(workspace, tmp_path, capsys):
+    # at this threshold the autoencoder edits no latent of some attribute; its
+    # variation row is NaN, so its off-diagonal sum is unknown, not zero
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    assert run("evaluate", "--workspace", ws, "--n", 256,
+               "--threshold", 0.99999) == 0
+    ae = json.loads((ws / "report.json").read_text())["methods"]["autoencoder"]
+    empty = ae["n_success"].index(0)  # an attribute without a success
+    assert ae["variation_matrix"][empty] == [None] * 3
+    assert ae["off_diagonal_sum"] is None
+    assert ae["well_edited_rates"] == [s / n for s, n in
+                                       zip(ae["n_success"], ae["n_negatives"])]
+    assert "autoencoder: mean rate 0.000, off-diagonal sum n/a" in \
+        capsys.readouterr().out
+
+
+@pytest.mark.parametrize("corrupt, code, named", [
+    (lambda ws: (ws / "model_meta.json").write_text("{"),
+     cli.CONFIG_ERROR, "model_meta.json"),
+    (lambda ws: (ws / "world_meta.json").write_text(
+        json.dumps({"mapping_kind": "bogus", "seed": 5})),
+     cli.CONFIG_ERROR, "world_meta.json"),
+    (lambda ws: shutil.copy(ws / "enc_w0.npy", ws / "enc_w1.npy"),
+     cli.DATA_ERROR, "enc_w1.npy"),
+], ids=["model-meta-not-json", "unknown-mapping-kind", "weights-do-not-chain"])
+def test_evaluate_names_the_corrupt_workspace_file(workspace, tmp_path, capsys,
+                                                   corrupt, code, named):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    corrupt(ws)
+    assert run("evaluate", "--workspace", ws, "--n", 64) == code
+    assert named in capsys.readouterr().err
+
+
+def test_train_defaults_are_train_configs(workspace, monkeypatch):
+    seen = []
+
+    def stop(latents_top, attrs_gauss, cfg):
+        seen.append(asdict(cfg))
+        raise ConfigInvalid("stopped before training")
+
+    monkeypatch.setattr(training, "train", stop)
+    assert run("train", "--workspace", workspace) == cli.CONFIG_ERROR
+    expected = asdict(training.TrainConfig(corr_mode="identity"))
+    assert seen == [expected]
+    assert [type(v) for v in seen[0].values()] == \
+        [type(v) for v in expected.values()]
 
 
 def test_evaluate_default_n_is_1024():

@@ -82,15 +82,16 @@ def test_set_attribute_raw(setup):
     world, pipe, latents = setup
     code = editor.encode(pipe, latents[6])
     median = float(np.median(pipe.transform.tables[0]))
-    at_median = editor.set_attribute_raw(pipe, code, 0, median)
+    at_median = editor.set_attribute(code, 0,
+                                     editor.raw_to_slot(pipe, 0, median))
     assert abs(at_median.attr_slots[0]) <= 1e-6
     # identical to composing with the explicit gaussianization
     g = gaussianize.gaussianize_value(pipe.transform, 0, 0.9)
-    a = editor.set_attribute_raw(pipe, code, 0, 0.9)
+    a = editor.set_attribute(code, 0, editor.raw_to_slot(pipe, 0, 0.9))
     b = editor.set_attribute(code, 0, g)
     np.testing.assert_array_equal(a.attr_slots, b.attr_slots)
     with pytest.raises(ValueError):
-        editor.set_attribute_raw(pipe, code, 0, 1.5)
+        editor.raw_to_slot(pipe, 0, 1.5)
 
 
 def test_decode_residual_linearity(setup):

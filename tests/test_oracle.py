@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from latentaxes import oracle
-from latentaxes.errors import DimensionMismatch
+from latentaxes.errors import ConfigInvalid, DimensionMismatch
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,11 @@ def test_tanh_mixed_differs_from_linear():
     assert np.linalg.norm(a - b) > 0
 
 
+def test_unknown_mapping_kind_rejected():
+    with pytest.raises(ConfigInvalid, match="bogus"):
+        oracle.make_world(16, 3, 4, mapping_kind="bogus")
+
+
 def test_classify_at_origin(world):
     np.testing.assert_allclose(oracle.classify(world, np.zeros(32)), 0.5)
 
@@ -94,5 +101,15 @@ def test_save_load_round_trip(world, tmp_path):
     loaded = oracle.load_world(tmp_path)
     np.testing.assert_array_equal(loaded.attr_directions, world.attr_directions)
     np.testing.assert_array_equal(loaded.identity_basis, world.identity_basis)
-    assert loaded.gain == world.gain
     assert loaded.mapping_kind == world.mapping_kind
+
+
+@pytest.mark.parametrize("meta", [{"mapping_kind": "bogus"},
+                                  {"seed": "3"}, {"mapping_kind": None}])
+def test_load_world_refuses_unknown_or_ill_typed_meta(world, tmp_path, meta):
+    oracle.save_world(world, tmp_path)
+    meta_path = tmp_path / "world_meta.json"
+    saved = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**saved, **meta}))
+    with pytest.raises(ConfigInvalid, match="world_meta.json"):
+        oracle.load_world(tmp_path)

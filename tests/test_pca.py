@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latentaxes import pca
-from latentaxes.errors import DegenerateData, DimensionMismatch
+from latentaxes.errors import ConfigInvalid, DegenerateData, DimensionMismatch
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +124,11 @@ def test_save_load_round_trip(gaussian_model, tmp_path):
     np.testing.assert_array_equal(loaded.basis, model.basis)
     np.testing.assert_array_equal(loaded.mean, model.mean)
     assert loaded.split == model.split
+
+
+@pytest.mark.parametrize("text", ["{", "[4]", "{}", '{"d": 4.0}', '{"d": "4"}'])
+def test_load_refuses_malformed_meta(gaussian_model, tmp_path, text):
+    pca.save_pca(gaussian_model[0], tmp_path)
+    (tmp_path / "pca_meta.json").write_text(text)
+    with pytest.raises(ConfigInvalid, match="pca_meta.json"):
+        pca.load_pca(tmp_path)

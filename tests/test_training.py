@@ -329,3 +329,68 @@ class TestTrain:
         model.leaky_slope = slope
         training.save_model(model, TrainConfig(), tmp_path)
         assert training.load_model(tmp_path)[0].leaky_slope == slope
+
+    def saved_manifest(self, tmp_path):
+        training.save_model(small_model(), TrainConfig(), tmp_path)
+        meta_path = tmp_path / "model_meta.json"
+        return meta_path, json.loads(meta_path.read_text())
+
+    def test_load_model_refuses_malformed_manifest(self, tmp_path):
+        meta_path, _ = self.saved_manifest(tmp_path)
+        meta_path.write_text("{")
+        with pytest.raises(ConfigInvalid, match="model_meta.json: not valid JSON"):
+            training.load_model(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("K", None), ("K", "3"), ("K", 3.0), ("enc_layer_sizes", 10),
+        ("train_config", []), ("leaky_slope", None)])
+    def test_load_model_refuses_missing_or_ill_typed_key(self, tmp_path, key,
+                                                         value):
+        meta_path, meta = self.saved_manifest(tmp_path)
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ConfigInvalid, match=f"model_meta.json.*{key}"):
+            training.load_model(tmp_path)
+
+    @pytest.mark.parametrize("train_config", [
+        # the Adam constants were TrainConfig fields once
+        {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8},
+        {"epochs": "150"}, {"alpha": True}])
+    def test_load_model_refuses_unknown_or_ill_typed_train_config(
+            self, tmp_path, train_config):
+        meta_path, meta = self.saved_manifest(tmp_path)
+        meta["train_config"].update(train_config)
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ConfigInvalid, match="model_meta.json"):
+            training.load_model(tmp_path)
+
+    def test_load_model_refuses_missing_train_config_field(self, tmp_path):
+        meta_path, meta = self.saved_manifest(tmp_path)
+        del meta["train_config"]["seed"]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ConfigInvalid, match="model_meta.json.*'seed'"):
+            training.load_model(tmp_path)
+
+    @pytest.mark.parametrize("source, target", [
+        ("enc_w0", "enc_w1"), ("enc_b0", "dec_b2"), ("dec_w0", "dec_w2")])
+    def test_load_model_refuses_weights_that_do_not_chain(self, tmp_path,
+                                                          source, target):
+        self.saved_manifest(tmp_path)
+        (tmp_path / f"{target}.npy").write_bytes(
+            (tmp_path / f"{source}.npy").read_bytes())
+        with pytest.raises(DimensionMismatch, match=f"{target}.npy"):
+            training.load_model(tmp_path)
+
+    @pytest.mark.parametrize("key, sizes", [
+        ("dec_layer_sizes", [12, 16, 16, 10]), ("enc_layer_sizes", [10]),
+        ("enc_layer_sizes", [10, 8, 16, 10])])
+    def test_load_model_refuses_layer_sizes_the_files_disagree_with(
+            self, tmp_path, key, sizes):
+        meta_path, meta = self.saved_manifest(tmp_path)
+        meta[key] = sizes
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(DimensionMismatch, match="model_meta.json"):
+            training.load_model(tmp_path)
