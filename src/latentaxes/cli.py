@@ -24,7 +24,8 @@ import numpy as np
 
 from . import baseline, editor, evaluation, gaussianize, oracle, pca, training
 from .errors import ConfigInvalid, LatentAxesError, NonFinite, NonPSD
-from .npyio import load_dataset, read_matrix, write_matrix
+from .npyio import (check_type, load_dataset, read_json_object, read_matrix,
+                    write_matrix)
 
 CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 # the `train` options: TrainConfig fields, with its defaults and types
@@ -51,18 +52,15 @@ def _config_value(key: str, value, action: argparse.Action):
     option's command-line string. JSON numbers and booleans must already
     have the option's type; an int is taken where a float is wanted."""
     kind = bool if action.nargs == 0 else (action.type or str)
+    where = f"config key {key!r}"
     if isinstance(value, str) and kind is not bool:
         try:
             value = kind(value)
         except ValueError as exc:
-            raise ConfigInvalid(f"config key {key!r}: {exc}") from exc
-    elif kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is not kind:
-        raise ConfigInvalid(f"config key {key!r}: {value!r} is not "
-                            f"a valid {kind.__name__}")
+            raise ConfigInvalid(f"{where}: {exc}") from exc
+    value = check_type(value, kind, where)
     if action.choices is not None and value not in action.choices:
-        raise ConfigInvalid(f"config key {key!r}: {value!r} is not one of "
+        raise ConfigInvalid(f"{where}: {value!r} is not one of "
                             f"{', '.join(action.choices)}")
     return value
 
@@ -73,11 +71,9 @@ def _read_config(path, command: CommandParser) -> dict:
     They become argparse defaults, which argparse neither converts (unless
     they are strings) nor checks, so both happen here."""
     try:
-        overrides = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+        overrides = read_json_object(path)
+    except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise ConfigInvalid(f"config {path} must hold a JSON object")
     values = {}
     for key, value in overrides.items():
         action = command.options.get(key.replace("-", "_"))
@@ -207,8 +203,9 @@ def cmd_evaluate(args) -> int:
             "n_negatives": [p.n_negatives for p in pairs_per_attr],
             "n_success": [p.n_success for p in pairs_per_attr],
             "variation_matrix": mat,
-            # NaN (null) when an attribute had no successful edit
-            "off_diagonal_sum": evaluation.off_diagonal_sum(mat),
+            # a row without a successful edit is NaN and counts as 0 here;
+            # n_success tells which rows those are
+            "off_diagonal_sum": evaluation.off_diagonal_sum(np.nan_to_num(mat)),
             "identity": float(np.mean(identities)) if identities else float("nan"),
             "frechet": frechets,
         }
@@ -227,9 +224,10 @@ def cmd_evaluate(args) -> int:
     out.write_text(json.dumps(report, indent=2))
     print(f"wrote {out}")
     for name, metrics in methods.items():
-        off = metrics["off_diagonal_sum"]
+        off = ("n/a" if 0 in metrics["n_success"]  # unknown, not zero
+               else f"{metrics['off_diagonal_sum']:.3f}")
         print(f"  {name}: mean rate {np.nanmean(metrics['rates']):.3f}, "
-              f"off-diagonal sum {'n/a' if np.isnan(off) else f'{off:.3f}'}")
+              f"off-diagonal sum {off}")
     return 0
 
 

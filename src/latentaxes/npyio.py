@@ -86,28 +86,43 @@ def load_dataset(latent_path, attr_path):
     return latents, attrs
 
 
+def check_type(value, kind: type, where: str):
+    """``value`` if it has the type ``kind``, an int taken as a float where a
+    float is wanted (a bool is never a number); otherwise ConfigInvalid
+    naming ``where``."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ConfigInvalid(f"{where}: {value!r} is not of type {kind.__name__}")
+    return value
+
+
 def check_keys(obj: dict, schema: dict, where) -> dict:
-    """``obj`` itself, once it holds every key of ``schema`` with a value of
-    the type named there (an int is taken where a float is wanted, a bool
-    never where a number is); otherwise ConfigInvalid naming ``where``."""
+    """A copy of ``obj`` whose every key of ``schema`` (key -> type) has
+    passed ``check_type``; a missing key is a ConfigInvalid naming
+    ``where``."""
+    checked = dict(obj)
     for key, kind in schema.items():
         if key not in obj:
             raise ConfigInvalid(f"{where}: missing key {key!r}")
-        value = obj[key]
-        if type(value) is not kind and not (kind is float and type(value) is int):
-            raise ConfigInvalid(f"{where}: {key} {value!r} is not of "
-                                f"type {kind.__name__}")
+        checked[key] = check_type(obj[key], kind, f"{where}: {key}")
+    return checked
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in the file ``path``. A file that is not a JSON
+    object is a ConfigInvalid naming it; one that cannot be read raises
+    OSError."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigInvalid(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigInvalid(f"{path}: must hold a JSON object")
     return obj
 
 
 def read_meta(path, schema: dict) -> dict:
-    """The JSON object of a workspace metadata file, checked against
-    ``schema`` (key -> type) by ``check_keys``. A file that is not a JSON
-    object is a ConfigInvalid naming it; one that is missing raises OSError."""
-    try:
-        meta = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ConfigInvalid(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ConfigInvalid(f"{path}: must hold a JSON object")
-    return check_keys(meta, schema, path)
+    """A workspace metadata file's JSON object, checked against ``schema``
+    by ``check_keys``."""
+    return check_keys(read_json_object(path), schema, path)

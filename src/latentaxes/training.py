@@ -294,9 +294,17 @@ def load_model(directory):
     if not 0 <= slope < 1:
         raise ConfigInvalid(f"{meta_path}: leaky_slope {slope!r} is not in [0, 1)")
     enc, dec = manifest["enc_layer_sizes"], manifest["dec_layer_sizes"]
+    for key, sizes in (("enc_layer_sizes", enc), ("dec_layer_sizes", dec)):
+        if not all(type(n) is int and n > 0 for n in sizes):
+            raise ConfigInvalid(f"{meta_path}: {key} {sizes!r} are not "
+                                f"all positive ints")
     if min(len(enc), len(dec)) < 2 or dec[0] != enc[-1] or dec[-1] != enc[0]:
         raise DimensionMismatch(f"{meta_path}: layer sizes {enc} and {dec} "
                                 f"are not an encoder and its decoder")
+    k = manifest["K"]
+    if not 0 <= k < enc[-1]:
+        raise ConfigInvalid(f"{meta_path}: K {k} is not in [0, {enc[-1]}), "
+                            f"the code size")
     cfg_fields = {f.name: f.type for f in fields(TrainConfig)}
     cfg_values = check_keys(manifest["train_config"], cfg_fields,
                             f"{meta_path}: train_config")
@@ -323,7 +331,7 @@ def load_model(directory):
     model = EncoderDecoder(
         encoder=nets["enc"],
         decoder=nets["dec"],
-        n_attributes=manifest["K"],
-        leaky_slope=float(slope),
+        n_attributes=k,
+        leaky_slope=slope,
     )
     return model, TrainConfig(**cfg_values)

@@ -342,7 +342,10 @@ class TestTrain:
             training.load_model(tmp_path)
 
     @pytest.mark.parametrize("key, value", [
-        ("K", None), ("K", "3"), ("K", 3.0), ("enc_layer_sizes", 10),
+        ("K", None), ("K", "3"), ("K", 3.0), ("K", -1), ("K", 10),
+        ("enc_layer_sizes", 10), ("enc_layer_sizes", ["10", 16, 16, 10]),
+        ("enc_layer_sizes", [10, True, 16, 10]),
+        ("dec_layer_sizes", [10, 16, 0, 10]),
         ("train_config", []), ("leaky_slope", None)])
     def test_load_model_refuses_missing_or_ill_typed_key(self, tmp_path, key,
                                                          value):
