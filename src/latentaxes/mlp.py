@@ -85,10 +85,11 @@ def mlp_forward(params: MlpParams, x: np.ndarray, leaky_slope: float = 0.01):
 
 
 def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray,
-                 leaky_slope: float = 0.01):
+                 leaky_slope: float = 0.01, input_grad: bool = True):
     """Backpropagate grad_out (dL/d output) through the network.
 
-    Returns (grad_weights, grad_biases, grad_input).
+    Returns (grad_weights, grad_biases, grad_input). With input_grad false,
+    grad_input is None and its matmul is skipped.
     """
     acts, pre = cache
     grad_w = [None] * len(params.weights)
@@ -104,7 +105,7 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray,
             g *= mask
         grad_w[i] = acts[i].T @ g
         grad_b[i] = g.sum(axis=0)
-        g = g @ params.weights[i].T
+        g = g @ params.weights[i].T if i > 0 or input_grad else None
     return grad_w, grad_b, g
 
 

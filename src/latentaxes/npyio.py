@@ -86,6 +86,16 @@ def load_dataset(latent_path, attr_path):
     return latents, attrs
 
 
+def check_finite_rows(name: str, arr: np.ndarray) -> None:
+    """NonFinite naming ``name`` and the first row of ``arr`` (an element,
+    if ``arr`` is 1-D) that holds a NaN or infinity."""
+    bad = ~np.isfinite(arr)
+    if bad.ndim > 1:
+        bad = bad.any(axis=1)
+    if bad.any():
+        raise NonFinite(f"{name} row {np.argmax(bad)} is not finite")
+
+
 def check_type(value, kind: type, where: str):
     """``value`` if it has the type ``kind``, an int taken as a float where a
     float is wanted (a bool is never a number); otherwise ConfigInvalid

@@ -28,7 +28,8 @@ from .mlp import (
     mlp_backward,
     mlp_forward,
 )
-from .npyio import check_keys, read_matrix, read_meta, write_matrix
+from .npyio import (check_finite_rows, check_keys, read_matrix, read_meta,
+                    write_matrix)
 
 VAR_EPS = 1e-8  # variance guard in the correlation denominator
 MIN_CORR_BATCH = 32  # fewest rows per batch the correlation loss is fed
@@ -174,8 +175,9 @@ def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
         comps["corr"] = c_loss
         grad_codes[:, :k] += cfg.beta * c_grad
 
+    # input_grad False: nothing reads the gradient of the encoder's input
     enc_gw, enc_gb, _ = mlp_backward(
-        model.encoder, cache_e, grad_codes, model.leaky_slope)
+        model.encoder, cache_e, grad_codes, model.leaky_slope, False)
 
     for net, grads in (("encoder", (enc_gw, enc_gb)),
                        ("decoder", (dec_gw, dec_gb))):
@@ -203,10 +205,8 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
     k = a.shape[1]
     if n == 0:
         raise ConfigInvalid("empty dataset")
-    for name, arr in (("latents_top", x), ("attrs_gauss", a)):
-        bad = ~np.isfinite(arr).all(axis=1)
-        if bad.any():
-            raise NonFinite(f"{name} row {np.argmax(bad)} is not finite")
+    check_finite_rows("latents_top", x)
+    check_finite_rows("attrs_gauss", a)
     if d <= k:
         raise ConfigInvalid(f"code size {d} must exceed attribute count {k}")
     # A shorter last batch is topped up with the rows before it, so the

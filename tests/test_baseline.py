@@ -1,8 +1,43 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize, root
+from scipy.special import expit
 
 from latentaxes import baseline, oracle
-from latentaxes.errors import DimensionMismatch, SingleClass
+from latentaxes.errors import (
+    DimensionMismatch,
+    NonFinite,
+    NotConverged,
+    OutOfDomain,
+    SingleClass,
+)
+
+
+def reference_optimum(x, y):
+    """The fit's objective on standardized x, minimized by L-BFGS-B
+    independently of baseline's Newton solve; returns the direction w / sigma
+    at unit norm and the standardized bias."""
+    sigma = x.std(axis=0)
+    sigma[sigma == 0] = 1.0
+    xs = (x - x.mean(axis=0)) / sigma
+    n, m = xs.shape
+
+    def fun(theta):
+        z = xs @ theta[:m] + theta[m]
+        r = expit(z) - y
+        f = (np.logaddexp(0.0, z).mean() - y @ z / n
+             + baseline.FIT_L2 * theta[:m] @ theta[:m])
+        grad = np.append(xs.T @ r / n + 2 * baseline.FIT_L2 * theta[:m], r.mean())
+        return f, grad
+
+    res = minimize(fun, np.zeros(m + 1), jac=True, method="L-BFGS-B",
+                   options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 10000})
+    # L-BFGS-B's line search stalls near 1e-9 on the rounding of f; a root
+    # solve of the gradient, which never reads f, takes it the rest of the way
+    res = root(lambda theta: fun(theta)[1], res.x, options={"xtol": 1e-15})
+    assert np.abs(fun(res.x)[1]).max() <= 1e-12
+    unit = res.x[:m] / sigma
+    return unit / np.linalg.norm(unit), res.x[m]
 
 
 def test_separable_toy_direction():
@@ -79,3 +114,73 @@ def test_save_load_round_trip(tmp_path):
     for d1, d2 in zip(editor.directions, loaded.directions):
         np.testing.assert_array_equal(d1.unit, d2.unit)
         assert d1.bias == d2.bias
+
+
+@pytest.mark.parametrize("case", ["noisy", "near-separable", "overlong-steps"])
+def test_newton_fit_is_the_optimum(case, monkeypatch):
+    rng = np.random.default_rng(20)
+    if case == "near-separable":
+        x = rng.normal(size=(2000, 4))
+        y = (x[:, 0] > 0).astype(float)
+    else:
+        x = rng.normal(size=(600, 5)) * [1.0, 3.0, 0.2, 1.0, 5.0] + [0, 4, -2, 1, 10]
+        logits = 1.5 * (x[:, 0] - 0.3 * x[:, 1] + 2.0 * x[:, 2])
+        y = (rng.random(600) < expit(logits - logits.mean())).astype(float)
+    unit, bias = reference_optimum(x, y)
+    if case == "overlong-steps":
+        # every Newton step ten times too long: only the halving converges
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: 10.0 * solve(a, b))
+    d = baseline.fit_direction(x, y)
+    assert np.isfinite(d.unit).all() and np.isfinite(d.bias)
+    assert d.unit @ unit >= 1 - 1e-10
+    assert d.bias == pytest.approx(bias, abs=1e-8)
+
+
+def test_constant_column_gets_zero_weight():
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(400, 3))
+    x[:, 1] = 4.0
+    y = (x[:, 0] + 0.5 * x[:, 2] > 0).astype(float)
+    d = baseline.fit_direction(x, y)
+    assert np.isfinite(d.unit).all() and np.isfinite(d.bias)
+    assert abs(d.unit[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["latents", "labels"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected_naming_row(which, bad):
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(50, 3))
+    y = (x[:, 0] > 0).astype(float)
+    if which == "latents":
+        x[17, 2] = bad
+    else:
+        y[17] = bad
+    with pytest.raises(NonFinite, match=f"{which} row 17 "):
+        baseline.fit_direction(x, y)
+
+
+def test_labels_outside_zero_one_rejected():
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(50, 3))
+    y = 2.0 * (x[:, 0] > 0)
+    with pytest.raises(OutOfDomain, match="labels row"):
+        baseline.fit_direction(x, y)
+
+
+def test_fit_all_names_the_failing_attribute(monkeypatch):
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=(200, 4))
+    attrs = rng.random(size=(200, 3))
+    attrs[:, 1] = 0.2  # every label 0
+    with pytest.raises(SingleClass,
+                       match="^attribute 1: both classes must be present$"):
+        baseline.fit_all_directions(x, attrs)
+    attrs[:, 1] = rng.random(200)
+    attrs[33, 2] = np.nan
+    with pytest.raises(NonFinite, match="^attribute 2: labels row 33 "):
+        baseline.fit_all_directions(x, attrs)
+    monkeypatch.setattr(baseline, "FIT_MAX_ITER", 1)
+    with pytest.raises(NotConverged, match="^attribute 0: no convergence"):
+        baseline.fit_all_directions(x, attrs)

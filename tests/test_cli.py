@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from latentaxes import cli, npyio, training
+from latentaxes import baseline, cli, npyio, training
 from latentaxes.errors import ConfigInvalid
 
 
@@ -126,6 +126,28 @@ def test_evaluate_names_the_corrupt_workspace_file(workspace, tmp_path, capsys,
                                                    corrupt, code, named):
     ws = shutil.copytree(workspace, tmp_path / "ws")
     corrupt(ws)
+    assert run("evaluate", "--workspace", ws, "--n", 64) == code
+    assert named in capsys.readouterr().err
+
+
+def set_attrs(ws, row, col, value):
+    attrs = npyio.read_matrix(ws / "attrs.npy")
+    attrs[row, col] = value
+    np.save(ws / "attrs.npy", attrs)  # write_matrix would refuse a NaN
+
+
+@pytest.mark.parametrize("break_fit, code, named", [
+    (lambda ws, mp: set_attrs(ws, slice(None), 1, 0.2),  # every label 0
+     cli.DATA_ERROR, "attribute 1: both classes must be present"),
+    (lambda ws, mp: mp.setattr(baseline, "FIT_MAX_ITER", 1),
+     cli.DATA_ERROR, "attribute 0: no convergence in 1 Newton steps"),
+    (lambda ws, mp: set_attrs(ws, 5, 2, np.nan),
+     cli.NUMERIC_ERROR, "attribute 2: labels row 5 is not finite"),
+], ids=["single-class", "iteration-cap", "nan-attribute"])
+def test_evaluate_names_the_attribute_the_baseline_cannot_fit(
+        workspace, tmp_path, capsys, monkeypatch, break_fit, code, named):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    break_fit(ws, monkeypatch)
     assert run("evaluate", "--workspace", ws, "--n", 64) == code
     assert named in capsys.readouterr().err
 
