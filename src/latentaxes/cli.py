@@ -134,8 +134,7 @@ def cmd_train(args) -> int:
                                                 "corr", "total"])
         writer.writeheader()
         for i, row in enumerate(history):
-            writer.writerow({"epoch": i, **{k: row[k] for k in
-                                            ("recons", "attr", "corr", "total")}})
+            writer.writerow({"epoch": i, **row})
     print(f"trained variant {args.variant} for {cfg.epochs} epochs; "
           f"final recons loss {history[-1]['recons']:.4g}")
     return 0

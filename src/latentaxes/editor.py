@@ -40,7 +40,7 @@ class EditPipeline:
     model: EncoderDecoder
 
     def __post_init__(self):
-        if self.pca.split != self.model.input_dim:
+        if self.pca.split != self.model.encoder.layer_sizes[0]:
             raise DimensionMismatch("PCA split does not match encoder input")
         if self.transform.n_attributes != self.model.n_attributes:
             raise DimensionMismatch("transform/model attribute counts differ")
@@ -48,8 +48,7 @@ class EditPipeline:
 
 def encode(pipeline: EditPipeline, w: np.ndarray) -> EditableCode:
     split = project(pipeline.pca, w)
-    codes, _ = mlp_forward(pipeline.model.encoder, split.top,
-                           pipeline.model.leaky_slope)
+    codes, _ = mlp_forward(pipeline.model.encoder, split.top)
     k = pipeline.model.n_attributes
     return EditableCode(attr_slots=codes[..., :k], free_slots=codes[..., k:],
                         residual=split.residual)
@@ -57,8 +56,7 @@ def encode(pipeline: EditPipeline, w: np.ndarray) -> EditableCode:
 
 def decode(pipeline: EditPipeline, code: EditableCode) -> np.ndarray:
     full = np.concatenate([code.attr_slots, code.free_slots], axis=-1)
-    top, _ = mlp_forward(pipeline.model.decoder, full,
-                         pipeline.model.leaky_slope)
+    top, _ = mlp_forward(pipeline.model.decoder, full)
     return reconstruct(pipeline.pca, PcaSplit(top=top, residual=code.residual))
 
 

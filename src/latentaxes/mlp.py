@@ -3,9 +3,9 @@ pass, plus an Adam optimizer. Everything is deterministic given the seed.
 
 All weights and biases of a net live in one 1-D float64 buffer,
 ``MlpParams.flat``; ``weights`` and ``biases`` are lists of views into it.
-Adam keeps its moments in two more buffers of that layout, so one update is
-a few vector operations over the whole net. The forward pass caches each
-layer's input and pre-activation for the backward pass.
+The gradient and Adam's two moments are buffers of that layout, so one
+update is a few vector operations over the whole net. The forward pass
+caches each layer's input for the backward pass.
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
 
+LEAKY_SLOPE = 0.01  # of every hidden layer's LeakyReLU
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
@@ -26,9 +27,17 @@ class MlpParams:
     def __post_init__(self):  # copies the arrays into flat
         arrays = [a for pair in zip(self.weights, self.biases) for a in pair]
         self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-        parts = np.split(self.flat, np.cumsum([np.size(a) for a in arrays])[:-1])
-        views = [part.reshape(np.shape(a)) for part, a in zip(parts, arrays)]
-        self.weights, self.biases = views[0::2], views[1::2]
+        self.weights, self.biases = self.views(self.flat)
+
+    def views(self, buffer: np.ndarray):
+        """Per-layer (weights, biases) views into buffer, laid out like flat."""
+        weights, biases, start = [], [], 0
+        for n_in, n_out in map(np.shape, self.weights):
+            weights.append(buffer[start : start + n_in * n_out].reshape(n_in, n_out))
+            start += n_in * n_out
+            biases.append(buffer[start : start + n_out])
+            start += n_out
+        return weights, biases
 
     @property
     def layer_sizes(self):
@@ -57,56 +66,49 @@ def leaky_relu(x, slope):
     return np.maximum(x, slope * x)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray, leaky_slope: float = 0.01):
+def mlp_forward(params: MlpParams, x: np.ndarray):
     """Forward pass. Hidden layers use LeakyReLU; the output layer is linear.
 
-    Returns (output, cache). The cache is (acts, pre): acts[i] is the input
-    of layer i (acts[0] is x) and pre[i] = acts[i] @ weights[i] + biases[i],
-    all that the backward pass reads.
+    Returns (output, acts), acts[i] the input of layer i (acts[0] is x).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.weights[0].shape[0]:
         raise DimensionMismatch(
             f"input dim {x.shape[-1]} != {params.weights[0].shape[0]}")
-    pre = []
     acts = [x]
-    h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w
-        z += b
-        pre.append(z)
-        h = z if i == last else leaky_relu(z, leaky_slope)
-        if i < last:
-            acts.append(h)
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = acts[-1] @ w
+        h += b
+        acts.append(leaky_relu(h, LEAKY_SLOPE))
+    h = acts[-1] @ params.weights[-1]
+    h += params.biases[-1]
     if not np.isfinite(h).all():
         raise NonFinite("non-finite activation in forward pass")
-    return h, (acts, pre)
+    return h, acts
 
 
-def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray,
-                 leaky_slope: float = 0.01, input_grad: bool = True):
+def mlp_backward(params: MlpParams, acts, grad_out: np.ndarray,
+                 input_grad: bool = True):
     """Backpropagate grad_out (dL/d output) through the network.
 
-    Returns (grad_weights, grad_biases, grad_input). With input_grad false,
-    grad_input is None and its matmul is skipped.
+    Returns (grad, grad_input), grad laid out like ``params.flat``. With
+    input_grad false, grad_input is None and its matmul is skipped.
     """
-    acts, pre = cache
-    grad_w = [None] * len(params.weights)
-    grad_b = [None] * len(params.biases)
+    grad = np.empty_like(params.flat)
+    grad_w, grad_b = params.views(grad)
     g = np.asarray(grad_out, dtype=np.float64)
     last = len(params.weights) - 1
     for i in range(last, -1, -1):
         if i != last:  # g is the fresh product below, never grad_out
-            # LeakyReLU derivative without a branch: 1 - slope + slope is
-            # exactly 1.0 for 0 <= slope < 1, so each factor is 1.0 or slope
-            mask = np.multiply(pre[i] > 0, 1 - leaky_slope)
-            mask += leaky_slope
+            # LeakyReLU derivative without a branch: acts[i + 1] > 0 where
+            # its input is, and each factor is exactly 1.0 or the slope
+            mask = np.multiply(acts[i + 1] > 0, 1 - LEAKY_SLOPE)
+            mask += LEAKY_SLOPE
             g *= mask
-        grad_w[i] = acts[i].T @ g
-        grad_b[i] = g.sum(axis=0)
+        np.matmul(acts[i].T, g, out=grad_w[i])
+        g.sum(axis=0, out=grad_b[i])
         g = g @ params.weights[i].T if i > 0 or input_grad else None
-    return grad_w, grad_b, g
+    return grad, g
 
 
 @dataclass
@@ -120,28 +122,26 @@ def adam_init(params: MlpParams) -> AdamState:
     return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def adam_step(params: MlpParams, grad_w, grad_b, state: AdamState,
+def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,
               lr: float) -> None:
     """Standard Adam update with bias correction, in place, over the whole
-    flat buffer at once. The gradient lists are read, not modified."""
+    flat buffer at once. The flat gradient is read, not modified."""
     state.t += 1
     t = state.t
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    g = np.concatenate([np.ravel(a) for pair in zip(grad_w, grad_b)
-                        for a in pair], dtype=np.float64)  # a fresh copy
     m, v = state.m, state.v
-    step = np.multiply(g, 1 - ADAM_BETA1)
+    step = np.multiply(grad, 1 - ADAM_BETA1)
     m *= ADAM_BETA1
     m += step                       # m = beta1*m + (1-beta1)*g
-    np.square(g, out=g)
-    g *= 1 - ADAM_BETA2
+    sq = np.square(grad)
+    sq *= 1 - ADAM_BETA2
     v *= ADAM_BETA2
-    v += g                          # v = beta2*v + (1-beta2)*g**2
+    v += sq                         # v = beta2*v + (1-beta2)*g**2
     np.divide(m, c1, out=step)
     step *= lr
-    np.divide(v, c2, out=g)
-    np.sqrt(g, out=g)
-    g += ADAM_EPS
-    step /= g                       # lr*(m/c1) / (sqrt(v/c2)+eps)
+    np.divide(v, c2, out=sq)
+    np.sqrt(sq, out=sq)
+    sq += ADAM_EPS
+    step /= sq                      # lr*(m/c1) / (sqrt(v/c2)+eps)
     params.flat -= step

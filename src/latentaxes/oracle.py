@@ -68,6 +68,8 @@ def make_world(m: int, n_attributes: int, q: int, correlated: bool = False,
 
 
 def sample_w(world: SyntheticWorld, n: int, seed: int) -> np.ndarray:
+    if n < 0:
+        raise ConfigInvalid(f"sample count {n} is negative")
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(n, world.dim))
     if world.mapping_kind == "tanh-mixed":

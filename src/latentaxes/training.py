@@ -20,7 +20,7 @@ from .errors import (
     NonFinite,
 )
 from .mlp import (
-    AdamState,
+    LEAKY_SLOPE,
     MlpParams,
     adam_init,
     adam_step,
@@ -46,11 +46,6 @@ class EncoderDecoder:
     encoder: MlpParams
     decoder: MlpParams
     n_attributes: int
-    leaky_slope: float = 0.01
-
-    @property
-    def input_dim(self) -> int:
-        return self.encoder.weights[0].shape[0]
 
 
 @dataclass
@@ -144,29 +139,27 @@ def total_loss(w, w_hat, codes, attrs, cfg: TrainConfig, gamma_ref=None):
 
 
 def forward_batch(model: EncoderDecoder, x: np.ndarray):
-    codes, cache_e = mlp_forward(model.encoder, x, model.leaky_slope)
-    w_hat, cache_d = mlp_forward(model.decoder, codes, model.leaky_slope)
-    return codes, w_hat, cache_e, cache_d
+    codes, acts_e = mlp_forward(model.encoder, x)
+    w_hat, acts_d = mlp_forward(model.decoder, codes)
+    return codes, w_hat, acts_e, acts_d
 
 
 def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
              cfg: TrainConfig, gamma_ref=None):
-    """Gradients of the total loss for every encoder/decoder parameter.
-
-    Returns (enc_grad_w, enc_grad_b, dec_grad_w, dec_grad_b, components).
-    """
+    """Gradients of the total loss, each laid out like its net's flat
+    buffer, and total_loss's components (corr is 0 when beta is): returns
+    (enc_grad, dec_grad, components)."""
     b = x.shape[0]
     k = attrs.shape[1]
-    codes, w_hat, cache_e, cache_d = forward_batch(model, x)
+    codes, w_hat, acts_e, acts_d = forward_batch(model, x)
+    recons_diff = w_hat - x
+    attr_diff = codes[:, :k] - attrs
+    comps = {"recons": float(np.sum(recons_diff * recons_diff) / b),
+             "attr": float(np.sum(attr_diff * attr_diff) / b), "corr": 0.0}
 
-    comps = {"recons": loss_recons(x, w_hat), "attr": loss_attr(codes, attrs),
-             "corr": 0.0}
-
-    grad_w_hat = 2.0 * (w_hat - x) / b
-    dec_gw, dec_gb, grad_codes = mlp_backward(
-        model.decoder, cache_d, grad_w_hat, model.leaky_slope)
-
-    grad_codes[:, :k] += cfg.alpha * 2.0 * (codes[:, :k] - attrs) / b
+    dec_grad, grad_codes = mlp_backward(model.decoder, acts_d,
+                                        2.0 * recons_diff / b)
+    grad_codes[:, :k] += cfg.alpha * 2.0 * attr_diff / b
 
     if cfg.corr_mode != CORR_NONE and cfg.beta != 0.0:
         if gamma_ref is None:
@@ -176,17 +169,17 @@ def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
         grad_codes[:, :k] += cfg.beta * c_grad
 
     # input_grad False: nothing reads the gradient of the encoder's input
-    enc_gw, enc_gb, _ = mlp_backward(
-        model.encoder, cache_e, grad_codes, model.leaky_slope, False)
+    enc_grad, _ = mlp_backward(model.encoder, acts_e, grad_codes, False)
 
-    for net, grads in (("encoder", (enc_gw, enc_gb)),
-                       ("decoder", (dec_gw, dec_gb))):
-        for kind, layers in zip(("weight", "bias"), grads):
-            for i, g in enumerate(layers):
-                if not np.isfinite(g).all():
-                    raise NonFinite(f"non-finite {net} {kind} gradient "
-                                    f"in layer {i}")
-    return enc_gw, enc_gb, dec_gw, dec_gb, comps
+    for net, params, grad in (("encoder", model.encoder, enc_grad),
+                              ("decoder", model.decoder, dec_grad)):
+        if not np.isfinite(grad).all():  # find the first bad layer to name
+            for kind, layers in zip(("weight", "bias"), params.views(grad)):
+                for i, g in enumerate(layers):
+                    if not np.isfinite(g).all():
+                        raise NonFinite(f"non-finite {net} {kind} gradient "
+                                        f"in layer {i}")
+    return enc_grad, dec_grad, comps
 
 
 def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
@@ -197,6 +190,15 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
     Returns (EncoderDecoder, history) where history is one dict of
     sample-weighted component means per epoch.
     """
+    for name, valid, rule in (  # NaN fails every comparison
+            ("epochs", cfg.epochs >= 1, ">= 1"),
+            ("hidden_size", cfg.hidden_size >= 1, ">= 1"),
+            ("n_layers", cfg.n_layers >= 1, ">= 1"),
+            ("learning_rate", 0 < cfg.learning_rate < np.inf, "finite and > 0"),
+            ("alpha", 0 <= cfg.alpha < np.inf, "finite and >= 0"),
+            ("beta", 0 <= cfg.beta < np.inf, "finite and >= 0")):
+        if not valid:
+            raise ConfigInvalid(f"{name} {getattr(cfg, name)!r} is not {rule}")
     x = np.asarray(latents_top, dtype=np.float64)
     a = np.asarray(attrs_gauss, dtype=np.float64)
     if x.ndim != 2 or a.ndim != 2 or x.shape[0] != a.shape[0]:
@@ -244,13 +246,13 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
             if idx.size < min_batch:
                 idx = order[-min_batch:]
             try:
-                enc_gw, enc_gb, dec_gw, dec_gb, comps = backward(
-                    model, x[idx], a[idx], cfg, gamma)
+                enc_grad, dec_grad, comps = backward(model, x[idx], a[idx],
+                                                     cfg, gamma)
             except NonFinite as exc:
                 raise NonFinite(f"epoch {epoch}, batch at position {start} "
                                 f"(first row {idx[0]}): {exc}") from exc
-            adam_step(model.encoder, enc_gw, enc_gb, state_e, cfg.learning_rate)
-            adam_step(model.decoder, dec_gw, dec_gb, state_d, cfg.learning_rate)
+            adam_step(model.encoder, enc_grad, state_e, cfg.learning_rate)
+            adam_step(model.decoder, dec_grad, state_d, cfg.learning_rate)
             for key in sums:
                 sums[key] += comps[key] * idx.size
             count += idx.size
@@ -273,7 +275,6 @@ def save_model(model: EncoderDecoder, cfg: TrainConfig, directory) -> None:
         "enc_layer_sizes": model.encoder.layer_sizes,
         "dec_layer_sizes": model.decoder.layer_sizes,
         "K": model.n_attributes,
-        "leaky_slope": model.leaky_slope,
         "train_config": asdict(cfg),
     }
     (directory / "model_meta.json").write_text(json.dumps(manifest, indent=2))
@@ -288,11 +289,11 @@ def load_model(directory):
     meta_path = directory / "model_meta.json"
     manifest = read_meta(meta_path, {"enc_layer_sizes": list,
                                      "dec_layer_sizes": list, "K": int,
-                                     "leaky_slope": float, "train_config": dict})
-    slope = manifest["leaky_slope"]
-    # the activation is max(x, slope * x), a LeakyReLU only for 0 <= slope < 1
-    if not 0 <= slope < 1:
-        raise ConfigInvalid(f"{meta_path}: leaky_slope {slope!r} is not in [0, 1)")
+                                     "train_config": dict})
+    slope = manifest.get("leaky_slope", LEAKY_SLOPE)  # in older manifests
+    if slope != LEAKY_SLOPE:
+        raise ConfigInvalid(f"{meta_path}: leaky_slope {slope!r} is not the "
+                            f"model's {LEAKY_SLOPE}")
     enc, dec = manifest["enc_layer_sizes"], manifest["dec_layer_sizes"]
     for key, sizes in (("enc_layer_sizes", enc), ("dec_layer_sizes", dec)):
         if not all(type(n) is int and n > 0 for n in sizes):
@@ -332,6 +333,5 @@ def load_model(directory):
         encoder=nets["enc"],
         decoder=nets["dec"],
         n_attributes=k,
-        leaky_slope=slope,
     )
     return model, TrainConfig(**cfg_values)

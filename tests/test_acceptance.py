@@ -119,26 +119,21 @@ def test_criterion_1_gradient_check():
     h = 1e-5
     worst = 0.0
     for cfg, gamma in configs:
-        enc_gw, enc_gb, dec_gw, dec_gb, _ = backward(model, x, attrs, cfg,
-                                                     gamma)
-        for net, gws, gbs in ((model.encoder, enc_gw, enc_gb),
-                              (model.decoder, dec_gw, dec_gb)):
-            for li in range(len(net.weights)):
-                for arr, grads in ((net.weights[li], gws[li]),
-                                   (net.biases[li], gbs[li])):
-                    flat = arr.reshape(-1)
-                    gflat = grads.reshape(-1)
-                    for idx in range(flat.size):
-                        orig = flat[idx]
-                        flat[idx] = orig + h
-                        up = objective(cfg, gamma)
-                        flat[idx] = orig - h
-                        down = objective(cfg, gamma)
-                        flat[idx] = orig
-                        fd = (up - down) / (2 * h)
-                        err = abs(gflat[idx] - fd)
-                        scale = max(abs(gflat[idx]), abs(fd), 1e-4)
-                        worst = max(worst, err / scale)
+        enc_grad, dec_grad, _ = backward(model, x, attrs, cfg, gamma)
+        # every weight and bias: a gradient is laid out like its net's flat
+        for flat, grad in ((model.encoder.flat, enc_grad),
+                           (model.decoder.flat, dec_grad)):
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + h
+                up = objective(cfg, gamma)
+                flat[idx] = orig - h
+                down = objective(cfg, gamma)
+                flat[idx] = orig
+                fd = (up - down) / (2 * h)
+                err = abs(grad[idx] - fd)
+                scale = max(abs(grad[idx]), abs(fd), 1e-4)
+                worst = max(worst, err / scale)
     elapsed = time.perf_counter() - t0
     announce(1, worst <= 1e-4 and elapsed < 10.0,
              f"max relative gradient error {worst:.2e}, {elapsed:.1f}s")

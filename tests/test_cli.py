@@ -253,3 +253,33 @@ def test_config_file_values_converted_by_option_type(tmp_path):
 
 def test_missing_data_is_data_error(tmp_path):
     assert run("fit", "--workspace", tmp_path, "--d", 4) == cli.DATA_ERROR
+
+
+def test_gen_data_refuses_negative_n(tmp_path, capsys):
+    assert run("gen-data", "--workspace", tmp_path, "--n", -5) == cli.CONFIG_ERROR
+    assert "sample count -5 is negative" in capsys.readouterr().err
+    assert not (tmp_path / "latents.npy").exists()
+
+
+def test_evaluate_refuses_negative_n(workspace, tmp_path, capsys):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    (ws / "report.json").unlink(missing_ok=True)
+    assert run("evaluate", "--workspace", ws, "--n", -1) == cli.CONFIG_ERROR
+    assert "sample count -1 is negative" in capsys.readouterr().err
+    assert not (ws / "report.json").exists()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--epochs", 0), ("--hidden-size", 0), ("--n-layers", 0),
+    ("--learning-rate", -1), ("--alpha", "nan"), ("--beta", -1)])
+def test_train_refuses_invalid_config_before_writing(workspace, tmp_path,
+                                                     capsys, option, value):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    for name in ("model_meta.json", "loss_history.csv"):
+        (ws / name).unlink()
+    assert run("train", "--workspace", ws, "--epochs", 1, "--hidden-size", 4,
+               "--n-layers", 2, option, value) == cli.CONFIG_ERROR
+    field = option[2:].replace("-", "_")
+    assert f"config error: {field} " in capsys.readouterr().err
+    assert not (ws / "model_meta.json").exists()
+    assert not (ws / "loss_history.csv").exists()

@@ -42,8 +42,8 @@ def test_leaky_relu_propagates():
     # 1 -> 1 -> 1 net, both weights 1: hidden applies the leaky slope
     p = mlp.MlpParams([np.array([[1.0]]), np.array([[1.0]])],
                       [np.zeros(1), np.zeros(1)])
-    y, _ = mlp.mlp_forward(p, np.array([[-1.0]]), leaky_slope=0.01)
-    assert y[0, 0] == pytest.approx(-0.01)
+    y, _ = mlp.mlp_forward(p, np.array([[-1.0]]))
+    assert y[0, 0] == pytest.approx(-mlp.LEAKY_SLOPE)
 
 
 def test_forward_dim_check():
@@ -62,8 +62,9 @@ def test_backward_matches_finite_differences():
         y, _ = mlp.mlp_forward(params, x)
         return np.sum((y - target) ** 2)
 
-    y, cache = mlp.mlp_forward(p, x)
-    gw, gb, gx = mlp.mlp_backward(p, cache, 2 * (y - target))
+    y, acts = mlp.mlp_forward(p, x)
+    grad, gx = mlp.mlp_backward(p, acts, 2 * (y - target))
+    gw, _ = p.views(grad)
 
     h = 1e-6
     for li in range(len(p.weights)):
@@ -81,9 +82,7 @@ def test_adam_zero_grad_no_change():
     p = mlp.init_params(0, [3, 3])
     before = p.copy()
     state = mlp.adam_init(p)
-    zeros_w = [np.zeros_like(w) for w in p.weights]
-    zeros_b = [np.zeros_like(b) for b in p.biases]
-    mlp.adam_step(p, zeros_w, zeros_b, state, lr=0.1)
+    mlp.adam_step(p, np.zeros_like(p.flat), state, lr=0.1)
     np.testing.assert_array_equal(p.weights[0], before.weights[0])
 
 
@@ -92,7 +91,7 @@ def test_adam_first_step_is_signed_lr():
     before = p.copy()
     state = mlp.adam_init(p)
     g = np.array([[5.0, -0.003], [100.0, 0.5]])
-    mlp.adam_step(p, [g], [np.zeros(2)], state, lr=0.01)
+    mlp.adam_step(p, np.concatenate([g.ravel(), np.zeros(2)]), state, lr=0.01)
     step = before.weights[0] - p.weights[0]
     # bias-corrected first step: lr * g / (|g| + eps) ~ lr * sign(g)
     np.testing.assert_allclose(step, 0.01 * np.sign(g), rtol=1e-4)
@@ -103,10 +102,13 @@ def test_adam_deterministic():
     for _ in range(2):
         p = mlp.init_params(5, [3, 4, 2])
         state = mlp.adam_init(p)
-        g_w = [np.full_like(w, 0.3) for w in p.weights]
-        g_b = [np.full_like(b, -0.2) for b in p.biases]
+        grad = np.empty_like(p.flat)
+        g_w, g_b = p.views(grad)
+        for w, b in zip(g_w, g_b):
+            w[:] = 0.3
+            b[:] = -0.2
         for _ in range(10):
-            mlp.adam_step(p, g_w, g_b, state, lr=1e-3)
+            mlp.adam_step(p, grad, state, lr=1e-3)
         results.append(p)
     np.testing.assert_array_equal(results[0].weights[1], results[1].weights[1])
 
@@ -173,29 +175,32 @@ def zero_pre_activation_net(seed):
     return p, rng.normal(size=(9, 3))
 
 
-@pytest.mark.parametrize("slope", [0.0, 0.01, 0.5])
+@pytest.mark.parametrize("slope", [mlp.LEAKY_SLOPE])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forward_backward_bit_identical_to_where_reference(seed, slope):
     p, x = zero_pre_activation_net(seed)
-    y, cache = mlp.mlp_forward(p, x, slope)
-    ref_y, ref_cache = where_forward(p.weights, p.biases, x, slope)
-    assert (cache[1][0] == 0).any()
+    y, acts = mlp.mlp_forward(p, x)
+    ref_y, (ref_acts, ref_pre) = where_forward(p.weights, p.biases, x, slope)
+    assert (ref_pre[0] == 0).any() and (acts[1] == 0).any()
     assert same_bits(y, ref_y)
-    for got, want in zip(cache[0] + cache[1], ref_cache[0] + ref_cache[1]):
+    assert len(acts) == len(ref_acts)
+    for got, want in zip(acts, ref_acts):
         assert same_bits(got, want)
     # a matmul plus a bias never yields -0.0, so the backward mask gets its
-    # signed zeros written into both caches
-    for pre in (cache[1], ref_cache[1]):
-        pre[1][0, :3] = -0.0
-        pre[1][1, :3] = 0.0
+    # signed zeros written into the activations, and the reference's
+    # pre-activations with them
+    for layer_out in (acts[2], ref_acts[2], ref_pre[1]):
+        layer_out[0, :3] = -0.0
+        layer_out[1, :3] = 0.0
     grad_out = np.random.default_rng(seed + 10).normal(size=y.shape)
     grad_out_before = grad_out.copy()
-    got = mlp.mlp_backward(p, cache, grad_out, slope)
-    want = where_backward(p.weights, ref_cache, grad_out, slope)
-    for g_list, w_list in zip(got[:2], want[:2]):
-        for g, w in zip(g_list, w_list):
-            assert same_bits(g, w)
-    assert same_bits(got[2], want[2])
+    grad, grad_in = mlp.mlp_backward(p, acts, grad_out)
+    want_w, want_b, want_in = where_backward(p.weights, (ref_acts, ref_pre),
+                                             grad_out, slope)
+    got_w, got_b = p.views(grad)
+    for g, w in zip(got_w + got_b, want_w + want_b):
+        assert same_bits(g, w)
+    assert same_bits(grad_in, want_in)
     assert same_bits(grad_out, grad_out_before)
 
 
@@ -224,12 +229,15 @@ def test_adam_bit_identical_to_per_layer_reference():
     moments = [([np.zeros_like(a) for a in arrs], [np.zeros_like(a) for a in arrs])
                for arrs in (ref_w, ref_b)]
     state = mlp.adam_init(p)
+    grad = np.empty_like(p.flat)
+    g_w, g_b = p.views(grad)
     for t in range(1, 21):
-        g_w = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=w.shape)
-               for w in ref_w]
-        g_b = [rng.normal(size=b.shape) for b in ref_b]
+        for g in g_w:
+            g[:] = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=g.shape)
+        for g in g_b:
+            g[:] = rng.normal(size=g.shape)
         g_b[0][0] = 0.0
-        mlp.adam_step(p, g_w, g_b, state, lr=1e-3)
+        mlp.adam_step(p, grad, state, lr=1e-3)
         per_layer_adam(ref_w, ref_b, g_w, g_b, moments, t, lr=1e-3)
     for got, want in zip(p.weights + p.biases, ref_w + ref_b):
         assert same_bits(got, want)
@@ -238,14 +246,34 @@ def test_adam_bit_identical_to_per_layer_reference():
 def test_adam_leaves_gradients_unchanged():
     p = mlp.init_params(0, [3, 4, 2])
     state = mlp.adam_init(p)
-    rng = np.random.default_rng(0)
-    g_w = [rng.normal(size=w.shape) for w in p.weights]
-    g_b = [rng.normal(size=b.shape) for b in p.biases]
-    before = [g.copy() for g in g_w + g_b]
+    grad = np.random.default_rng(0).normal(size=p.flat.shape)
+    before = grad.copy()
     for _ in range(3):
-        mlp.adam_step(p, g_w, g_b, state, lr=0.1)
-    for g, b in zip(g_w + g_b, before):
-        assert same_bits(g, b)
+        mlp.adam_step(p, grad, state, lr=0.1)
+    assert same_bits(grad, before)
+
+
+def test_views_lay_out_any_buffer_like_flat():
+    p = mlp.init_params(0, [3, 4, 2])
+    buf = np.arange(p.flat.size, dtype=np.float64)
+    weights, biases = p.views(buf)
+    assert [w.shape for w in weights] == [w.shape for w in p.weights]
+    assert [b.shape for b in biases] == [b.shape for b in p.biases]
+    for a in weights + biases:
+        assert np.shares_memory(a, buf)
+    np.testing.assert_array_equal(biases[0], [12, 13, 14, 15])  # w0 is 3 x 4
+    np.testing.assert_array_equal(weights[1][0], [16, 17])
+
+
+def test_backward_writes_gradient_like_flat():
+    p = mlp.init_params(0, [3, 4, 2])
+    x = np.random.default_rng(0).normal(size=(6, 3))
+    y, acts = mlp.mlp_forward(p, x)
+    grad, grad_in = mlp.mlp_backward(p, acts, np.ones_like(y), False)
+    assert grad.shape == p.flat.shape and grad.dtype == p.flat.dtype
+    assert grad_in is None
+    assert not np.shares_memory(grad, p.flat)
+    np.testing.assert_array_equal(p.views(grad)[1][1], [6.0, 6.0])  # sum of ones
 
 
 def test_weights_and_biases_are_views_of_flat():
@@ -284,6 +312,6 @@ def test_params_from_int_and_non_contiguous_arrays():
     x = np.random.default_rng(0).normal(size=(5, 3))
     y, _ = mlp.mlp_forward(p, x)
     ref, _ = where_forward([w0.astype(float), w1.copy()],
-                           [b0.astype(float), b1], x, 0.01)
+                           [b0.astype(float), b1], x, mlp.LEAKY_SLOPE)
     assert same_bits(y, ref)
     assert not np.shares_memory(p.flat, w1)

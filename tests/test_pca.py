@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentaxes import pca
 from latentaxes.errors import ConfigInvalid, DegenerateData, DimensionMismatch
@@ -132,3 +134,61 @@ def test_load_refuses_malformed_meta(gaussian_model, tmp_path, text):
     (tmp_path / "pca_meta.json").write_text(text)
     with pytest.raises(ConfigInvalid, match="pca_meta.json"):
         pca.load_pca(tmp_path)
+
+
+# Invariance of the fit under an orthogonal rotation Q and a scaling c of
+# the data (rows x -> c Q x), on data whose covariance has distinct
+# eigenvalues, so that each eigenvector is defined up to its sign.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def data_with_distinct_eigenvalues(draw):
+    """(data, Q, c, split): the covariance of data is exactly V diag(s**2) V'
+    with s[i] / s[i + 1] >= 1.5, and Q is a random orthogonal matrix."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(m + 2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ratio = draw(st.floats(1.5, 2.0))
+    s = draw(st.floats(0.1, 10.0)) * ratio ** -np.arange(m)
+    z = rng.normal(size=(n, m))
+    white, _ = np.linalg.qr(z - z.mean(axis=0))  # centred orthonormal columns
+    v, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    data = np.sqrt(n - 1) * (white * s) @ v.T + rng.normal(scale=3.0, size=m)
+    c = draw(st.floats(1e-2, 1e2)) * draw(st.sampled_from([-1.0, 1.0]))
+    return data, q, c, draw(st.integers(1, m))
+
+
+@PROPERTY
+@given(case=data_with_distinct_eigenvalues())
+def test_eigenvalues_scale_by_c_squared(case):
+    data, q, c, split = case
+    base = pca.fit_pca(data, split)
+    moved = pca.fit_pca(c * data @ q.T, split)
+    np.testing.assert_allclose(moved.eigenvalues, c**2 * base.eigenvalues,
+                               rtol=1e-9)
+
+
+@PROPERTY
+@given(case=data_with_distinct_eigenvalues())
+def test_basis_is_equivariant_up_to_column_sign(case):
+    data, q, c, split = case
+    base = pca.fit_pca(data, split)
+    moved = pca.fit_pca(c * data @ q.T, split)
+    rotated = q @ base.basis
+    signs = np.sign(np.sum(rotated * moved.basis, axis=0))
+    assert (signs != 0).all()
+    np.testing.assert_allclose(moved.basis, rotated * signs, atol=1e-9)
+    np.testing.assert_allclose(moved.mean, c * q @ base.mean,
+                               atol=1e-12 * np.abs(c * data).max())
+
+
+@PROPERTY
+@given(case=data_with_distinct_eigenvalues())
+def test_reconstruct_inverts_project(case):
+    data, q, c, split = case
+    w = c * data @ q.T
+    model = pca.fit_pca(w, split)
+    back = pca.reconstruct(model, pca.project(model, w))
+    assert np.abs(back - w).max() <= 1e-9 * np.abs(w).max()

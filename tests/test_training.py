@@ -158,11 +158,11 @@ class TestGradients:
     def test_against_finite_differences(self, setup, cfg, gamma):
         model, x, attrs = setup
         gamma = np.eye(3) if gamma == "eye" else None
-        enc_gw, enc_gb, dec_gw, dec_gb, _ = backward(model, x, attrs, cfg, gamma)
+        enc_grad, dec_grad, _ = backward(model, x, attrs, cfg, gamma)
         h = 1e-5
         rng = np.random.default_rng(11)
-        for net, gws, gbs in ((model.encoder, enc_gw, enc_gb),
-                              (model.decoder, dec_gw, dec_gb)):
+        for net, grad in ((model.encoder, enc_grad), (model.decoder, dec_grad)):
+            gws, gbs = net.views(grad)
             for li in range(len(net.weights)):
                 rows, cols = net.weights[li].shape
                 for _ in range(4):
@@ -191,8 +191,7 @@ class TestGradients:
         without = TrainConfig(alpha=0.5, beta=0.0, corr_mode=training.CORR_NONE)
         g1 = backward(model, x, attrs, with_corr, np.eye(3))
         g2 = backward(model, x, attrs, without, None)
-        for a, b in zip(g1[0], g2[0]):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        np.testing.assert_allclose(g1[0], g2[0], atol=1e-12)
 
     @pytest.mark.parametrize("call,net", [(0, "decoder"), (1, "encoder")])
     def test_non_finite_gradient_names_net_and_layer(self, setup, monkeypatch,
@@ -201,17 +200,32 @@ class TestGradients:
         real = training.mlp_backward
 
         def poisoned(*args):
-            grad_w, grad_b, grad_in = real(*args)
+            grad, grad_in = real(*args)
             if len(calls) == call:
+                _, grad_b = args[0].views(grad)
                 grad_b[1][0] = np.nan
             calls.append(1)
-            return grad_w, grad_b, grad_in
+            return grad, grad_in
 
         monkeypatch.setattr(training, "mlp_backward", poisoned)
         model, x, attrs = setup
         cfg = TrainConfig(alpha=1.0, beta=0.0, corr_mode=training.CORR_NONE)
         with pytest.raises(NonFinite, match=f"{net} bias gradient in layer 1"):
             backward(model, x, attrs, cfg)
+
+    @pytest.mark.parametrize("mode", [training.CORR_NONE,
+                                      training.CORR_DATABASE,
+                                      training.CORR_IDENTITY])
+    def test_components_equal_total_loss_bit_for_bit(self, setup, mode):
+        model, x, attrs = setup
+        cfg = TrainConfig(alpha=0.7, beta=0.4, corr_mode=mode)
+        gamma = None if mode == training.CORR_NONE else batch_corr(attrs)
+        *_, comps = backward(model, x, attrs, cfg, gamma)
+        codes, w_hat, _, _ = forward_batch(model, x)
+        _, want = total_loss(x, w_hat, codes, attrs, cfg, gamma)
+        assert want.keys() == comps.keys()
+        for key in want:
+            assert np.float64(comps[key]).tobytes() == np.float64(want[key]).tobytes()
 
     def test_zero_variance_column_finite(self):
         rng = np.random.default_rng(12)
@@ -287,6 +301,21 @@ class TestTrain:
         assert str(info.value).startswith("epoch 0, batch at position 32 "
                                           "(first row ")
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -1), ("hidden_size", 0), ("n_layers", 0),
+        ("learning_rate", -1.0), ("learning_rate", 0.0),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("alpha", -1.0), ("alpha", float("nan")), ("beta", -0.5),
+        ("beta", float("inf"))])
+    def test_rejects_invalid_config(self, field, value, monkeypatch):
+        # refused where it enters, before a net is built
+        monkeypatch.setattr(training, "init_params", None)
+        x, attrs = self.make_data(n=64)
+        cfg = TrainConfig(**{"epochs": 1, "hidden_size": 4, "n_layers": 2,
+                             field: value})
+        with pytest.raises(ConfigInvalid, match=f"^{field} "):
+            train(x, attrs, cfg)
+
     @pytest.mark.parametrize("which", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_inputs(self, which, bad):
@@ -323,12 +352,26 @@ class TestTrain:
         with pytest.raises(ConfigInvalid, match="model_meta.json"):
             training.load_model(tmp_path)
 
-    @pytest.mark.parametrize("slope", [0, 0.0, 0.5])
-    def test_load_model_keeps_slope_in_unit_interval(self, tmp_path, slope):
+    @pytest.mark.parametrize("slope, loads", [(0.01, True), (0.5, False)])
+    def test_load_model_reads_manifest_that_carries_slope(self, tmp_path,
+                                                          slope, loads):
+        # manifests written while the slope was settable carry leaky_slope
         model = small_model()
-        model.leaky_slope = slope
         training.save_model(model, TrainConfig(), tmp_path)
-        assert training.load_model(tmp_path)[0].leaky_slope == slope
+        meta_path = tmp_path / "model_meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert "leaky_slope" not in meta
+        meta["leaky_slope"] = slope
+        meta_path.write_text(json.dumps(meta))
+        if loads:
+            loaded, _ = training.load_model(tmp_path)
+            for got, want in ((loaded.encoder, model.encoder),
+                              (loaded.decoder, model.decoder)):
+                assert got.flat.tobytes() == want.flat.tobytes()
+        else:
+            with pytest.raises(ConfigInvalid,
+                               match="model_meta.json: leaky_slope 0.5"):
+                training.load_model(tmp_path)
 
     def saved_manifest(self, tmp_path):
         training.save_model(small_model(), TrainConfig(), tmp_path)
@@ -346,7 +389,7 @@ class TestTrain:
         ("enc_layer_sizes", 10), ("enc_layer_sizes", ["10", 16, 16, 10]),
         ("enc_layer_sizes", [10, True, 16, 10]),
         ("dec_layer_sizes", [10, 16, 0, 10]),
-        ("train_config", []), ("leaky_slope", None)])
+        ("train_config", [])])
     def test_load_model_refuses_missing_or_ill_typed_key(self, tmp_path, key,
                                                          value):
         meta_path, meta = self.saved_manifest(tmp_path)
