@@ -1,11 +1,15 @@
 """Plain-numpy MLP with LeakyReLU hidden layers and a hand-written backward
 pass, plus an Adam optimizer. Everything is deterministic given the seed.
 
-All weights and biases of a net live in one 1-D float64 buffer,
-``MlpParams.flat``; ``weights`` and ``biases`` are lists of views into it.
-The gradient and Adam's two moments are buffers of that layout, so one
-update is a few vector operations over the whole net. The forward pass
-caches each layer's input for the backward pass.
+All weights and biases of a net live in one 1-D buffer, ``MlpParams.flat``;
+``weights`` and ``biases`` are lists of views into it. The gradient and
+Adam's two moments are buffers of that layout, so one update is a few
+vector operations over the whole net. The forward pass caches each layer's
+input for the backward pass.
+
+A net computes in the dtype of its buffer: float32 when every array it was
+built from is float32, float64 otherwise. Adam's arithmetic runs in the
+dtype of the parameters it updates, whatever the gradient's.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +29,11 @@ class MlpParams:
     flat: np.ndarray = field(init=False, repr=False)  # w0, b0, w1, b1, ...
 
     def __post_init__(self):  # copies the arrays into flat
-        arrays = [a for pair in zip(self.weights, self.biases) for a in pair]
-        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        arrays = [np.asarray(a) for pair in zip(self.weights, self.biases)
+                  for a in pair]
+        dtype = (np.float32 if all(a.dtype == np.float32 for a in arrays)
+                 else np.float64)
+        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=dtype)
         self.weights, self.biases = self.views(self.flat)
 
     def views(self, buffer: np.ndarray):
@@ -45,6 +52,10 @@ class MlpParams:
 
     def copy(self) -> "MlpParams":
         return MlpParams(self.weights, self.biases)
+
+    def astype(self, dtype) -> "MlpParams":
+        """A copy whose buffer has the float dtype given."""
+        return MlpParams(*self.views(self.flat.astype(dtype)))
 
 
 def init_params(seed: int, layer_sizes) -> MlpParams:
@@ -69,9 +80,10 @@ def leaky_relu(x, slope):
 def mlp_forward(params: MlpParams, x: np.ndarray):
     """Forward pass. Hidden layers use LeakyReLU; the output layer is linear.
 
-    Returns (output, acts), acts[i] the input of layer i (acts[0] is x).
+    Computes in the dtype of ``params.flat``. Returns (output, acts),
+    acts[i] the input of layer i (acts[0] is x in that dtype).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.flat.dtype)
     if x.shape[-1] != params.weights[0].shape[0]:
         raise DimensionMismatch(
             f"input dim {x.shape[-1]} != {params.weights[0].shape[0]}")
@@ -91,18 +103,19 @@ def mlp_backward(params: MlpParams, acts, grad_out: np.ndarray,
                  input_grad: bool = True):
     """Backpropagate grad_out (dL/d output) through the network.
 
-    Returns (grad, grad_input), grad laid out like ``params.flat``. With
-    input_grad false, grad_input is None and its matmul is skipped.
+    Computes in the dtype of ``params.flat``. Returns (grad, grad_input),
+    grad laid out like ``params.flat``. With input_grad false, grad_input is
+    None and its matmul is skipped.
     """
     grad = np.empty_like(params.flat)
     grad_w, grad_b = params.views(grad)
-    g = np.asarray(grad_out, dtype=np.float64)
+    g = np.asarray(grad_out, dtype=params.flat.dtype)
     last = len(params.weights) - 1
     for i in range(last, -1, -1):
         if i != last:  # g is the fresh product below, never grad_out
             # LeakyReLU derivative without a branch: acts[i + 1] > 0 where
             # its input is, and each factor is exactly 1.0 or the slope
-            mask = np.multiply(acts[i + 1] > 0, 1 - LEAKY_SLOPE)
+            mask = np.multiply(acts[i + 1] > 0, 1 - LEAKY_SLOPE, dtype=g.dtype)
             mask += LEAKY_SLOPE
             g *= mask
         np.matmul(acts[i].T, g, out=grad_w[i])
@@ -125,16 +138,19 @@ def adam_init(params: MlpParams) -> AdamState:
 def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,
               lr: float) -> None:
     """Standard Adam update with bias correction, in place, over the whole
-    flat buffer at once. The flat gradient is read, not modified."""
+    flat buffer at once, in the dtype of ``params.flat``: a float32 gradient
+    updates float64 parameters in float64. The flat gradient is read, not
+    modified."""
     state.t += 1
     t = state.t
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
-    step = np.multiply(grad, 1 - ADAM_BETA1)
+    dtype = params.flat.dtype
+    step = np.multiply(grad, 1 - ADAM_BETA1, dtype=dtype)
     m *= ADAM_BETA1
     m += step                       # m = beta1*m + (1-beta1)*g
-    sq = np.square(grad)
+    sq = np.square(grad, dtype=dtype)
     sq *= 1 - ADAM_BETA2
     v *= ADAM_BETA2
     v += sq                         # v = beta2*v + (1-beta2)*g**2

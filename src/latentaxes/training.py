@@ -5,6 +5,16 @@ compressed latent coordinates, a squared penalty tying the first K code
 dimensions to the (gaussianized) attribute values, and an L1 penalty pulling
 the batch Pearson correlation of those K dimensions toward a reference
 matrix. Gradients are derived by hand; the optimizer is Adam.
+
+Precision: ``train`` holds the weights and Adam's moments in float64 and
+returns, saves and loads them in float64. Each training step copies the
+weights into float32 working nets (``STEP_DTYPE``), runs the forward and
+backward passes on those, and Adam updates the float64 weights from the
+float32 gradients in float64 (mixed precision with master weights,
+Micikevicius et al., arXiv:1710.03740). The loss components and the
+correlation kernel are float64. Outside ``train``, every function here
+computes in the dtype of the nets it is given, so gradient checks, editing
+and evaluation of a trained or loaded model run in float64.
 """
 
 import json
@@ -31,6 +41,7 @@ from .mlp import (
 from .npyio import (check_finite_rows, check_keys, read_matrix, read_meta,
                     write_matrix)
 
+STEP_DTYPE = np.float32  # of each training step's forward and backward
 VAR_EPS = 1e-8  # variance guard in the correlation denominator
 MIN_CORR_BATCH = 32  # fewest rows per batch the correlation loss is fed
 
@@ -39,6 +50,7 @@ CORR_DATABASE = "database"  # variant B
 CORR_IDENTITY = "identity"  # variant C
 
 VARIANT_MODES = {"A": CORR_NONE, "B": CORR_DATABASE, "C": CORR_IDENTITY}
+CORR_MODES = tuple(VARIANT_MODES.values())
 
 
 @dataclass
@@ -182,23 +194,31 @@ def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
     return enc_grad, dec_grad, comps
 
 
-def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
-    """Train the autoencoder on pre-projected latents and gaussianized
-    attributes. The code has as many slots as the input has coordinates.
-    Deterministic given (config, data).
-
-    Returns (EncoderDecoder, history) where history is one dict of
-    sample-weighted component means per epoch.
-    """
+def check_config(cfg: TrainConfig) -> None:
+    """Refuse a config ``train`` cannot run with: a ConfigInvalid naming
+    the first field out of range."""
     for name, valid, rule in (  # NaN fails every comparison
             ("epochs", cfg.epochs >= 1, ">= 1"),
             ("hidden_size", cfg.hidden_size >= 1, ">= 1"),
             ("n_layers", cfg.n_layers >= 1, ">= 1"),
             ("learning_rate", 0 < cfg.learning_rate < np.inf, "finite and > 0"),
             ("alpha", 0 <= cfg.alpha < np.inf, "finite and >= 0"),
-            ("beta", 0 <= cfg.beta < np.inf, "finite and >= 0")):
+            ("beta", 0 <= cfg.beta < np.inf, "finite and >= 0"),
+            ("corr_mode", cfg.corr_mode in CORR_MODES, f"one of {CORR_MODES}")):
         if not valid:
             raise ConfigInvalid(f"{name} {getattr(cfg, name)!r} is not {rule}")
+
+
+def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
+    """Train the autoencoder on pre-projected latents and gaussianized
+    attributes. The code has as many slots as the input has coordinates.
+    Deterministic given (config, data). Each step computes in float32 over
+    float64 weights (see the module docstring).
+
+    Returns (EncoderDecoder, history): the float64 model, and one dict of
+    sample-weighted component means per epoch.
+    """
+    check_config(cfg)
     x = np.asarray(latents_top, dtype=np.float64)
     a = np.asarray(attrs_gauss, dtype=np.float64)
     if x.ndim != 2 or a.ndim != 2 or x.shape[0] != a.shape[0]:
@@ -232,8 +252,10 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
         decoder=init_params(cfg.seed + 1, sizes),
         n_attributes=k,
     )
-    state_e = adam_init(model.encoder)
-    state_d = adam_init(model.decoder)
+    nets = (model.encoder, model.decoder)
+    states = [adam_init(net) for net in nets]
+    work_nets = [net.astype(STEP_DTYPE) for net in nets]  # refreshed each step
+    work = EncoderDecoder(*work_nets, n_attributes=k)
     rng = np.random.default_rng(cfg.seed)
 
     history = []
@@ -245,14 +267,15 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
             idx = order[start : start + cfg.batch_size]
             if idx.size < min_batch:
                 idx = order[-min_batch:]
+            for net, work_net in zip(nets, work_nets):
+                work_net.flat[:] = net.flat
             try:
-                enc_grad, dec_grad, comps = backward(model, x[idx], a[idx],
-                                                     cfg, gamma)
+                *grads, comps = backward(work, x[idx], a[idx], cfg, gamma)
             except NonFinite as exc:
                 raise NonFinite(f"epoch {epoch}, batch at position {start} "
                                 f"(first row {idx[0]}): {exc}") from exc
-            adam_step(model.encoder, enc_grad, state_e, cfg.learning_rate)
-            adam_step(model.decoder, dec_grad, state_d, cfg.learning_rate)
+            for net, grad, state in zip(nets, grads, states):
+                adam_step(net, grad, state, cfg.learning_rate)
             for key in sums:
                 sums[key] += comps[key] * idx.size
             count += idx.size
@@ -282,9 +305,10 @@ def save_model(model: EncoderDecoder, cfg: TrainConfig, directory) -> None:
 
 def load_model(directory):
     """The model and config that ``save_model`` wrote. A manifest with a
-    missing, ill-typed or unknown field is a ConfigInvalid, and a weight or
-    bias file of another shape than the manifest's layer sizes a
-    DimensionMismatch; both name the file."""
+    missing, ill-typed or unknown field, or a train_config that
+    ``check_config`` refuses, is a ConfigInvalid, and a weight or bias file
+    of another shape than the manifest's layer sizes a DimensionMismatch;
+    both name the file."""
     directory = Path(directory)
     meta_path = directory / "model_meta.json"
     manifest = read_meta(meta_path, {"enc_layer_sizes": list,
@@ -313,6 +337,11 @@ def load_model(directory):
     if unknown:
         raise ConfigInvalid(f"{meta_path}: unknown train_config keys "
                             f"{unknown}; run train again to rewrite it")
+    cfg = TrainConfig(**cfg_values)
+    try:
+        check_config(cfg)
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{meta_path}: train_config {exc}") from exc
 
     def matrix(name, shape):
         path = directory / f"{name}.npy"
@@ -334,4 +363,4 @@ def load_model(directory):
         decoder=nets["dec"],
         n_attributes=k,
     )
-    return model, TrainConfig(**cfg_values)
+    return model, cfg

@@ -315,3 +315,35 @@ def test_params_from_int_and_non_contiguous_arrays():
                            [b0.astype(float), b1], x, mlp.LEAKY_SLOPE)
     assert same_bits(y, ref)
     assert not np.shares_memory(p.flat, w1)
+
+
+def test_params_keep_float32_and_compute_in_it():
+    p64 = mlp.init_params(0, [3, 4, 2])
+    p = mlp.MlpParams([w.astype(np.float32) for w in p64.weights],
+                      [b.astype(np.float32) for b in p64.biases])
+    assert p.flat.dtype == np.float32
+    assert all(a.dtype == np.float32 for a in p.weights + p.biases)
+    assert p.copy().flat.dtype == np.float32
+    assert same_bits(p.flat, p64.astype(np.float32).flat)
+    x = np.random.default_rng(0).normal(size=(6, 3))  # cast on entry
+    y, acts = mlp.mlp_forward(p, x)
+    assert y.dtype == np.float32 and all(a.dtype == np.float32 for a in acts)
+    grad, grad_in = mlp.mlp_backward(p, acts, np.ones(y.shape))
+    assert grad.dtype == np.float32 and grad_in.dtype == np.float32
+    # one float64 array makes the whole buffer float64
+    mixed = mlp.MlpParams([p.weights[0], p64.weights[1]], p.biases)
+    assert mixed.flat.dtype == np.float64
+
+
+def test_adam_updates_float64_params_from_float32_gradient_in_float64():
+    p = mlp.init_params(0, [3, 4, 2])
+    ref = p.copy()
+    state, ref_state = mlp.adam_init(p), mlp.adam_init(ref)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        grad = rng.normal(size=p.flat.shape).astype(np.float32)
+        mlp.adam_step(p, grad, state, lr=1e-3)
+        mlp.adam_step(ref, grad.astype(np.float64), ref_state, lr=1e-3)
+    assert state.m.dtype == state.v.dtype == np.float64
+    assert same_bits(p.flat, ref.flat)
+    assert same_bits(state.v, ref_state.v)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,24 @@ from latentaxes.training import (
     total_loss,
     train,
 )
+
+
+# a desk-shaped training in a fresh process: the weights' hash, then the
+# loss history
+TRAIN_AND_HASH = """
+import hashlib
+import numpy as np
+from latentaxes import training
+rng = np.random.default_rng(0)
+x = rng.normal(size=(1024, 16))
+a = np.tanh(x[:, :5]) + 0.1 * rng.normal(size=(1024, 5))
+cfg = training.TrainConfig(alpha=1.0, beta=0.5, epochs=2, learning_rate=1e-3,
+                           hidden_size=128, n_layers=4, seed=1)
+model, history = training.train(x, a, cfg)
+print(hashlib.sha256(model.encoder.flat.tobytes()
+                     + model.decoder.flat.tobytes()).hexdigest())
+print(repr(history))
+"""
 
 
 def small_model(seed=0, sizes=(10, 16, 16, 10)):
@@ -227,6 +249,26 @@ class TestGradients:
         for key in want:
             assert np.float64(comps[key]).tobytes() == np.float64(want[key]).tobytes()
 
+    @pytest.mark.parametrize("mode", training.CORR_MODES)
+    def test_float32_copy_agrees_with_float64(self, mode):
+        # desk shape: float32's unit roundoff is 6e-8, and the norm-wise
+        # error of these gradients measured 3e-7; the bound leaves 30x
+        sizes = [16, 128, 128, 128, 16]
+        model = EncoderDecoder(init_params(0, sizes), init_params(1, sizes), 5)
+        rng = np.random.default_rng(13)
+        x, attrs = rng.normal(size=(256, 16)), rng.normal(size=(256, 5))
+        cfg = TrainConfig(alpha=0.7, beta=0.4, corr_mode=mode)
+        gamma = None if mode == training.CORR_NONE else batch_corr(attrs)
+        work = EncoderDecoder(model.encoder.astype(np.float32),
+                              model.decoder.astype(np.float32), 5)
+        *want, want_comps = backward(model, x, attrs, cfg, gamma)
+        *got, comps = backward(work, x, attrs, cfg, gamma)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float32 and w.dtype == np.float64
+            assert np.linalg.norm(g - w) <= 1e-5 * np.linalg.norm(w)
+        for key, value in want_comps.items():
+            assert comps[key] == pytest.approx(value, rel=1e-5, abs=1e-12)
+
     def test_zero_variance_column_finite(self):
         rng = np.random.default_rng(12)
         codes = np.column_stack([np.full(8, 1.0), rng.normal(size=(8, 2))])
@@ -258,6 +300,42 @@ class TestTrain:
         assert h1 == h2
         for w1, w2 in zip(m1.encoder.weights, m2.encoder.weights):
             np.testing.assert_array_equal(w1, w2)
+
+    def test_steps_in_float32_and_returns_float64(self, monkeypatch):
+        seen = {"mlp_forward": [], "mlp_backward": []}
+        for name, dtypes in seen.items():
+            def spy(params, *args, _real=getattr(training, name), _seen=dtypes):
+                _seen.append(params.flat.dtype)
+                return _real(params, *args)
+            monkeypatch.setattr(training, name, spy)
+        x, attrs = self.make_data(n=128)
+        cfg = TrainConfig(alpha=1.0, beta=0.1, epochs=2, batch_size=64,
+                          hidden_size=8, n_layers=3)
+        model, history = train(x, attrs, cfg)
+        steps = 2 * 2  # two nets a step
+        assert seen == {name: [np.float32] * 2 * steps for name in seen}
+        for net in (model.encoder, model.decoder):
+            assert net.flat.dtype == np.float64
+            assert all(a.dtype == np.float64 for a in net.weights + net.biases)
+        assert all(type(v) is float for h in history for v in h.values())
+
+    def test_bit_identical_at_one_and_two_blas_threads(self):
+        # desk shape, so that OpenBLAS splits the large products over two
+        # threads; each count runs in a fresh process, as the library reads
+        # OPENBLAS_NUM_THREADS when it loads
+        src = str(Path(training.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", TRAIN_AND_HASH], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout.splitlines())
+        (weights_1, history_1), (weights_2, history_2) = outputs
+        assert weights_1 == weights_2
+        assert history_1 == history_2
 
     def test_rejects_code_not_bigger_than_attrs(self):
         x, attrs = self.make_data(d=2, k=2)
@@ -306,7 +384,7 @@ class TestTrain:
         ("learning_rate", -1.0), ("learning_rate", 0.0),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("alpha", -1.0), ("alpha", float("nan")), ("beta", -0.5),
-        ("beta", float("inf"))])
+        ("beta", float("inf")), ("corr_mode", "bogus"), ("corr_mode", "C")])
     def test_rejects_invalid_config(self, field, value, monkeypatch):
         # refused where it enters, before a net is built
         monkeypatch.setattr(training, "init_params", None)
@@ -404,7 +482,8 @@ class TestTrain:
     @pytest.mark.parametrize("train_config", [
         # the Adam constants were TrainConfig fields once
         {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8},
-        {"epochs": "150"}, {"alpha": True}])
+        {"epochs": "150"}, {"alpha": True}, {"corr_mode": "bogus"},
+        {"epochs": 0}])
     def test_load_model_refuses_unknown_or_ill_typed_train_config(
             self, tmp_path, train_config):
         meta_path, meta = self.saved_manifest(tmp_path)
