@@ -130,12 +130,11 @@ class LinearEditor:
     directions: tuple  # one LinearDirection per attribute
 
     def search_positive(self, latents: np.ndarray, k: int, classify_fn,
-                        threshold: float = 0.9,
-                        amplitudes=DEFAULT_AMPLITUDES):
+                        threshold: float = 0.9):
         latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
         return first_hit(latents, k, classify_fn, threshold,
                          (linear_edit(latents, self.directions[k], amp)
-                          for amp in amplitudes))
+                          for amp in DEFAULT_AMPLITUDES))
 
 
 def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEditor:

@@ -103,8 +103,8 @@ def cmd_gen_data(args) -> int:
 def cmd_fit(args) -> int:
     ws = Path(args.workspace)
     latents, attrs = load_dataset(ws / "latents.npy", ws / "attrs.npy")
-    if args.d > latents.shape[1]:
-        raise ConfigInvalid(f"d={args.d} exceeds latent dim {latents.shape[1]}")
+    if not 1 <= args.d <= latents.shape[1]:
+        raise ConfigInvalid(f"d={args.d} is not in [1, {latents.shape[1]}]")
     model = pca.fit_pca(latents, args.d)
     pca.save_pca(model, ws)
     transform = gaussianize.fit_transform(attrs)
@@ -169,6 +169,8 @@ def cmd_edit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if not 0 < args.threshold < 1:  # NaN fails too
+        raise ConfigInvalid(f"threshold {args.threshold} is not in (0, 1)")
     ws = Path(args.workspace)
     world = oracle.load_world(ws)
     pipeline = _load_pipeline(ws)

@@ -108,10 +108,13 @@ def check_type(value, kind: type, where: str):
 
 
 def check_keys(obj: dict, schema: dict, where) -> dict:
-    """A copy of ``obj`` whose every key of ``schema`` (key -> type) has
-    passed ``check_type``; a missing key is a ConfigInvalid naming
-    ``where``."""
-    checked = dict(obj)
+    """A copy of ``obj``, whose keys must be exactly those of ``schema``
+    (key -> type), with each value passed through ``check_type``; an unknown
+    or missing key is a ConfigInvalid naming ``where``."""
+    unknown = sorted(set(obj) - set(schema))
+    if unknown:
+        raise ConfigInvalid(f"{where}: unknown keys {unknown}")
+    checked = {}
     for key, kind in schema.items():
         if key not in obj:
             raise ConfigInvalid(f"{where}: missing key {key!r}")

@@ -50,6 +50,8 @@ def make_world(m: int, n_attributes: int, q: int, correlated: bool = False,
     from one QR factorization, so they are exactly mutually orthogonal."""
     _check_mapping_kind(mapping_kind, "")
     k = n_attributes
+    if k < 1 or q < 0:
+        raise ConfigInvalid(f"need K >= 1 and q >= 0, got K={k}, q={q}")
     if m <= k + q:
         raise DimensionMismatch(f"need m > K + q, got m={m}, K={k}, q={q}")
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateData, DimensionMismatch, NonFinite
+from .errors import ConfigInvalid, DegenerateData, DimensionMismatch, NonFinite
 from .npyio import read_matrix, read_meta, write_matrix
 
 
@@ -116,11 +116,17 @@ def save_pca(model: PcaModel, directory) -> None:
 
 
 def load_pca(directory) -> PcaModel:
+    """The model ``save_pca`` wrote; it refuses a ``d`` outside [1, m]."""
     directory = Path(directory)
-    meta = read_meta(directory / "pca_meta.json", {"d": int})
+    meta_path = directory / "pca_meta.json"
+    d = read_meta(meta_path, {"d": int})["d"]
+    mean = read_matrix(directory / "pca_mean.npy")[0]
+    if not 1 <= d <= mean.shape[0]:
+        raise ConfigInvalid(f"{meta_path}: d {d} is not in [1, "
+                            f"{mean.shape[0]}], the latent dim")
     return PcaModel(
-        mean=read_matrix(directory / "pca_mean.npy")[0],
+        mean=mean,
         basis=read_matrix(directory / "pca_basis.npy"),
         eigenvalues=read_matrix(directory / "pca_eigenvalues.npy")[0],
-        split=meta["d"],
+        split=d,
     )

@@ -30,7 +30,6 @@ from .errors import (
     NonFinite,
 )
 from .mlp import (
-    LEAKY_SLOPE,
     MlpParams,
     adam_init,
     adam_step,
@@ -194,9 +193,9 @@ def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
     return enc_grad, dec_grad, comps
 
 
-def check_config(cfg: TrainConfig) -> None:
+def check_config(cfg: TrainConfig, where: str = "") -> None:
     """Refuse a config ``train`` cannot run with: a ConfigInvalid naming
-    the first field out of range."""
+    ``where`` and the first field out of range."""
     for name, valid, rule in (  # NaN fails every comparison
             ("epochs", cfg.epochs >= 1, ">= 1"),
             ("hidden_size", cfg.hidden_size >= 1, ">= 1"),
@@ -206,7 +205,7 @@ def check_config(cfg: TrainConfig) -> None:
             ("beta", 0 <= cfg.beta < np.inf, "finite and >= 0"),
             ("corr_mode", cfg.corr_mode in CORR_MODES, f"one of {CORR_MODES}")):
         if not valid:
-            raise ConfigInvalid(f"{name} {getattr(cfg, name)!r} is not {rule}")
+            raise ConfigInvalid(f"{where}{name} {getattr(cfg, name)!r} is not {rule}")
 
 
 def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
@@ -246,7 +245,7 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
     else:
         gamma = None
 
-    sizes = [d] + [cfg.hidden_size] * (cfg.n_layers - 1) + [d]
+    sizes = layer_sizes(d, cfg)
     model = EncoderDecoder(
         encoder=init_params(cfg.seed, sizes),
         decoder=init_params(cfg.seed + 1, sizes),
@@ -287,61 +286,54 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
     return model, history
 
 
+def layer_sizes(code_size: int, cfg: TrainConfig) -> list:
+    """The layer sizes of the encoder and of the decoder: ``code_size`` in
+    and out, and ``n_layers - 1`` hidden layers of ``hidden_size``."""
+    return [code_size] + [cfg.hidden_size] * (cfg.n_layers - 1) + [code_size]
+
+
 def save_model(model: EncoderDecoder, cfg: TrainConfig, directory) -> None:
+    """Write the weights and the manifest ``model_meta.json``, which holds
+    ``code_size``, ``K`` and ``train_config``. A net whose layer sizes are
+    not ``layer_sizes(code_size, cfg)`` is a DimensionMismatch."""
+    code_size = model.encoder.layer_sizes[-1]
+    sizes = layer_sizes(code_size, cfg)
+    for net in (model.encoder, model.decoder):
+        if net.layer_sizes != sizes:
+            raise DimensionMismatch(f"layer sizes {net.layer_sizes} are not "
+                                    f"{sizes}, those of the train config")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for prefix, net in (("enc", model.encoder), ("dec", model.decoder)):
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
             write_matrix(w, directory / f"{prefix}_w{i}.npy")
             write_matrix(b[None, :], directory / f"{prefix}_b{i}.npy")
-    manifest = {
-        "enc_layer_sizes": model.encoder.layer_sizes,
-        "dec_layer_sizes": model.decoder.layer_sizes,
-        "K": model.n_attributes,
-        "train_config": asdict(cfg),
-    }
+    manifest = {"code_size": code_size, "K": model.n_attributes,
+                "train_config": asdict(cfg)}
     (directory / "model_meta.json").write_text(json.dumps(manifest, indent=2))
 
 
 def load_model(directory):
     """The model and config that ``save_model`` wrote. A manifest with a
-    missing, ill-typed or unknown field, or a train_config that
-    ``check_config`` refuses, is a ConfigInvalid, and a weight or bias file
-    of another shape than the manifest's layer sizes a DimensionMismatch;
-    both name the file."""
+    missing, unknown or ill-typed key (an older manifest's, for one), a K
+    outside [0, code_size) or a train_config that ``check_config`` refuses
+    is a ConfigInvalid; a weight or bias file of another shape than
+    ``layer_sizes`` gives is a DimensionMismatch. Both name the file."""
     directory = Path(directory)
     meta_path = directory / "model_meta.json"
-    manifest = read_meta(meta_path, {"enc_layer_sizes": list,
-                                     "dec_layer_sizes": list, "K": int,
-                                     "train_config": dict})
-    slope = manifest.get("leaky_slope", LEAKY_SLOPE)  # in older manifests
-    if slope != LEAKY_SLOPE:
-        raise ConfigInvalid(f"{meta_path}: leaky_slope {slope!r} is not the "
-                            f"model's {LEAKY_SLOPE}")
-    enc, dec = manifest["enc_layer_sizes"], manifest["dec_layer_sizes"]
-    for key, sizes in (("enc_layer_sizes", enc), ("dec_layer_sizes", dec)):
-        if not all(type(n) is int and n > 0 for n in sizes):
-            raise ConfigInvalid(f"{meta_path}: {key} {sizes!r} are not "
-                                f"all positive ints")
-    if min(len(enc), len(dec)) < 2 or dec[0] != enc[-1] or dec[-1] != enc[0]:
-        raise DimensionMismatch(f"{meta_path}: layer sizes {enc} and {dec} "
-                                f"are not an encoder and its decoder")
-    k = manifest["K"]
-    if not 0 <= k < enc[-1]:
-        raise ConfigInvalid(f"{meta_path}: K {k} is not in [0, {enc[-1]}), "
-                            f"the code size")
-    cfg_fields = {f.name: f.type for f in fields(TrainConfig)}
-    cfg_values = check_keys(manifest["train_config"], cfg_fields,
-                            f"{meta_path}: train_config")
-    unknown = sorted(set(cfg_values) - set(cfg_fields))
-    if unknown:
-        raise ConfigInvalid(f"{meta_path}: unknown train_config keys "
-                            f"{unknown}; run train again to rewrite it")
-    cfg = TrainConfig(**cfg_values)
     try:
-        check_config(cfg)
+        manifest = read_meta(meta_path, {"code_size": int, "K": int,
+                                         "train_config": dict})
+        where = f"{meta_path}: train_config"
+        cfg = TrainConfig(**check_keys(manifest["train_config"], {
+            f.name: f.type for f in fields(TrainConfig)}, where))
+        check_config(cfg, f"{where} ")
+        code_size, k = manifest["code_size"], manifest["K"]
+        if not 0 <= k < code_size:
+            raise ConfigInvalid(f"{meta_path}: K {k} is not in [0, "
+                                f"{code_size}), the code_size")
     except ConfigInvalid as exc:
-        raise ConfigInvalid(f"{meta_path}: train_config {exc}") from exc
+        raise ConfigInvalid(f"{exc}; run train again to rewrite it") from exc
 
     def matrix(name, shape):
         path = directory / f"{name}.npy"
@@ -351,16 +343,10 @@ def load_model(directory):
                                     f"{meta_path.name} gives {shape}")
         return arr
 
-    nets = {}
-    for prefix, sizes in (("enc", enc), ("dec", dec)):
-        shapes = list(zip(sizes[:-1], sizes[1:]))
-        weights = [matrix(f"{prefix}_w{i}", shape) for i, shape in enumerate(shapes)]
-        biases = [matrix(f"{prefix}_b{i}", (1, n_out))[0]
-                  for i, (_, n_out) in enumerate(shapes)]
-        nets[prefix] = MlpParams(weights, biases)
-    model = EncoderDecoder(
-        encoder=nets["enc"],
-        decoder=nets["dec"],
-        n_attributes=k,
-    )
-    return model, cfg
+    sizes = layer_sizes(code_size, cfg)
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    nets = [MlpParams([matrix(f"{prefix}_w{i}", s) for i, s in enumerate(shapes)],
+                      [matrix(f"{prefix}_b{i}", (1, s[1]))[0]
+                       for i, s in enumerate(shapes)])
+            for prefix in ("enc", "dec")]
+    return EncoderDecoder(*nets, n_attributes=k), cfg

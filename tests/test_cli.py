@@ -50,6 +50,33 @@ def test_fit_rejects_oversized_d(workspace):
     assert run("fit", "--workspace", workspace, "--d", 99) == cli.CONFIG_ERROR
 
 
+@pytest.mark.parametrize("argv, message, unwritten", [
+    (("fit", "--d", 0), "d=0 is not in [1, 16]", "pca_meta.json"),
+    (("fit", "--d", -3), "d=-3 is not in [1, 16]", "pca_meta.json"),
+    (("gen-data", "--k", 0, "--force"), "need K >= 1 and q >= 0, got K=0",
+     "world_meta.json"),
+    (("gen-data", "--q", -1, "--force"), "need K >= 1 and q >= 0, got K=5, "
+     "q=-1", "world_meta.json"),
+    (("evaluate", "--threshold", "nan"), "threshold nan is not in (0, 1)",
+     "report.json"),
+    (("evaluate", "--threshold", 1.5), "threshold 1.5 is not in (0, 1)",
+     "report.json"),
+    (("evaluate", "--threshold", 0), "threshold 0.0 is not in (0, 1)",
+     "report.json"),
+    (("evaluate", "--threshold", "inf"), "threshold inf is not in (0, 1)",
+     "report.json")],
+    ids=["fit-d-0", "fit-d-negative", "gen-data-k-0", "gen-data-q-negative",
+         "threshold-nan", "threshold-1.5", "threshold-0", "threshold-inf"])
+def test_out_of_range_flag_is_a_config_error(workspace, tmp_path, capsys,
+                                             argv, message, unwritten):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    (ws / unwritten).unlink(missing_ok=True)
+    command, *flags = argv
+    assert run(command, "--workspace", ws, *flags) == cli.CONFIG_ERROR
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (ws / unwritten).exists()
+
+
 def test_train_writes_history(workspace):
     history = (workspace / "loss_history.csv").read_text().splitlines()
     assert history[0] == "epoch,recons,attr,corr,total"

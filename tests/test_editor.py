@@ -197,15 +197,16 @@ def linear_setup():
     return world, baseline.fit_all_directions(latents, attrs)
 
 
-def test_linear_search_and_reference_agree(linear_setup):
+def test_linear_search_and_reference_agree(linear_setup, monkeypatch):
     world, lin = linear_setup
     classify = lambda w: oracle.classify(world, w)
     samples = oracle.sample_w(world, 256, 26)
     # the short grid leaves some rows on their best-so-far edit
     amplitudes = baseline.DEFAULT_AMPLITUDES[:3]
+    monkeypatch.setattr(baseline, "DEFAULT_AMPLITUDES", amplitudes)
     for k in range(3):
         negatives = samples[classify(samples)[:, k] < 0.5][:20]
-        out = lin.search_positive(negatives, k, classify, 0.9, amplitudes)
+        out = lin.search_positive(negatives, k, classify, 0.9)
         assert 0 < out[1].sum() < len(negatives)
         edit_at = lambda w, a: baseline.linear_edit(w, lin.directions[k], a)
         assert_rows_match_reference(out, negatives, edit_at, k, classify,

@@ -30,6 +30,12 @@ def test_dimension_guard():
         oracle.make_world(10, 5, 8)
 
 
+@pytest.mark.parametrize("k, q", [(0, 8), (-1, 8), (5, -1)])
+def test_make_world_refuses_no_attributes_or_negative_q(k, q):
+    with pytest.raises(ConfigInvalid, match=f"got K={k}, q={q}"):
+        oracle.make_world(32, k, q)
+
+
 def test_correlated_world_plants_correlations():
     world = oracle.make_world(32, 5, 8, correlated=True, seed=4)
     attrs = oracle.classify(world, oracle.sample_w(world, 10000, 5))
@@ -105,7 +111,8 @@ def test_save_load_round_trip(world, tmp_path):
 
 
 @pytest.mark.parametrize("meta", [{"mapping_kind": "bogus"},
-                                  {"seed": "3"}, {"mapping_kind": None}])
+                                  {"seed": "3"}, {"mapping_kind": None},
+                                  {"n_attributes": 5}])
 def test_load_world_refuses_unknown_or_ill_typed_meta(world, tmp_path, meta):
     oracle.save_world(world, tmp_path)
     meta_path = tmp_path / "world_meta.json"

@@ -128,7 +128,9 @@ def test_save_load_round_trip(gaussian_model, tmp_path):
     assert loaded.split == model.split
 
 
-@pytest.mark.parametrize("text", ["{", "[4]", "{}", '{"d": 4.0}', '{"d": "4"}'])
+@pytest.mark.parametrize("text", ["{", "[4]", "{}", '{"d": 4.0}', '{"d": "4"}',
+                                  '{"d": 0}', '{"d": -3}', '{"d": 99}',
+                                  '{"d": 4, "split": 4}'])
 def test_load_refuses_malformed_meta(gaussian_model, tmp_path, text):
     pca.save_pca(gaussian_model[0], tmp_path)
     (tmp_path / "pca_meta.json").write_text(text)

@@ -54,6 +54,9 @@ def small_model(seed=0, sizes=(10, 16, 16, 10)):
                           n_attributes=3)
 
 
+SMALL_CFG = TrainConfig(hidden_size=16, n_layers=3)  # small_model's sizes
+
+
 class TestLosses:
     def test_recons_zero_on_identical(self):
         x = np.random.default_rng(0).normal(size=(4, 6))
@@ -422,37 +425,52 @@ class TestTrain:
                                        "0.01", None])
     def test_load_model_refuses_slope_outside_unit_interval(self, tmp_path,
                                                             slope):
-        training.save_model(small_model(), TrainConfig(), tmp_path)
-        meta_path = tmp_path / "model_meta.json"
-        meta = json.loads(meta_path.read_text())
+        # the slope is a constant: a manifest key of no value is unknown
+        meta_path, meta = self.saved_manifest(tmp_path)
         meta["leaky_slope"] = slope
         meta_path.write_text(json.dumps(meta))
-        with pytest.raises(ConfigInvalid, match="model_meta.json"):
+        with pytest.raises(ConfigInvalid, match=r"model_meta.json: unknown "
+                                                r"keys \['leaky_slope'\]"):
             training.load_model(tmp_path)
 
-    @pytest.mark.parametrize("slope, loads", [(0.01, True), (0.5, False)])
-    def test_load_model_reads_manifest_that_carries_slope(self, tmp_path,
-                                                          slope, loads):
-        # manifests written while the slope was settable carry leaky_slope
-        model = small_model()
-        training.save_model(model, TrainConfig(), tmp_path)
-        meta_path = tmp_path / "model_meta.json"
-        meta = json.loads(meta_path.read_text())
+    @pytest.mark.parametrize("slope", [0.01, 0.5])
+    def test_load_model_refuses_manifest_that_carries_slope(self, tmp_path,
+                                                            slope):
+        # manifests written while the slope was settable carry leaky_slope,
+        # even at the constant's value
+        meta_path, meta = self.saved_manifest(tmp_path)
         assert "leaky_slope" not in meta
         meta["leaky_slope"] = slope
         meta_path.write_text(json.dumps(meta))
-        if loads:
-            loaded, _ = training.load_model(tmp_path)
-            for got, want in ((loaded.encoder, model.encoder),
-                              (loaded.decoder, model.decoder)):
-                assert got.flat.tobytes() == want.flat.tobytes()
-        else:
-            with pytest.raises(ConfigInvalid,
-                               match="model_meta.json: leaky_slope 0.5"):
-                training.load_model(tmp_path)
+        with pytest.raises(ConfigInvalid, match=r"model_meta.json: unknown "
+                                                r"keys \['leaky_slope'\]; run "
+                                                r"train again"):
+            training.load_model(tmp_path)
+
+    def test_load_model_refuses_manifest_written_before_code_size(self,
+                                                                  tmp_path):
+        meta_path, meta = self.saved_manifest(tmp_path)
+        sizes = [meta.pop("code_size"), 16, 16, 10]
+        meta.update(enc_layer_sizes=sizes, dec_layer_sizes=sizes)
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ConfigInvalid, match=r"model_meta.json: unknown keys "
+                                                r"\['dec_layer_sizes', "
+                                                r"'enc_layer_sizes'\]; run "
+                                                r"train again"):
+            training.load_model(tmp_path)
+
+    def test_save_model_refuses_sizes_the_config_does_not_give(self, tmp_path):
+        with pytest.raises(DimensionMismatch, match=r"\[10, 16, 16, 10\] are "
+                                                    r"not \[10, 512, "):
+            training.save_model(small_model(), TrainConfig(), tmp_path)
+        model = small_model()
+        model.decoder = init_params(1, [10, 16, 16, 16, 10])
+        with pytest.raises(DimensionMismatch, match="16, 16, 16"):
+            training.save_model(model, SMALL_CFG, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def saved_manifest(self, tmp_path):
-        training.save_model(small_model(), TrainConfig(), tmp_path)
+        training.save_model(small_model(), SMALL_CFG, tmp_path)
         meta_path = tmp_path / "model_meta.json"
         return meta_path, json.loads(meta_path.read_text())
 
@@ -464,10 +482,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("key, value", [
         ("K", None), ("K", "3"), ("K", 3.0), ("K", -1), ("K", 10),
+        # keys of manifests written before code_size: unknown now
         ("enc_layer_sizes", 10), ("enc_layer_sizes", ["10", 16, 16, 10]),
         ("enc_layer_sizes", [10, True, 16, 10]),
         ("dec_layer_sizes", [10, 16, 0, 10]),
-        ("train_config", [])])
+        ("train_config", []),
+        ("code_size", None), ("code_size", "10"), ("code_size", 10.0),
+        ("code_size", True), ("code_size", 3), ("code_size", -1)])
     def test_load_model_refuses_missing_or_ill_typed_key(self, tmp_path, key,
                                                          value):
         meta_path, meta = self.saved_manifest(tmp_path)
@@ -509,13 +530,13 @@ class TestTrain:
         with pytest.raises(DimensionMismatch, match=f"{target}.npy"):
             training.load_model(tmp_path)
 
-    @pytest.mark.parametrize("key, sizes", [
-        ("dec_layer_sizes", [12, 16, 16, 10]), ("enc_layer_sizes", [10]),
-        ("enc_layer_sizes", [10, 8, 16, 10])])
+    @pytest.mark.parametrize("key, value", [
+        ("code_size", 12), ("code_size", 4), ("hidden_size", 8),
+        ("n_layers", 2), ("n_layers", 4)])
     def test_load_model_refuses_layer_sizes_the_files_disagree_with(
-            self, tmp_path, key, sizes):
+            self, tmp_path, key, value):
         meta_path, meta = self.saved_manifest(tmp_path)
-        meta[key] = sizes
+        (meta if key == "code_size" else meta["train_config"])[key] = value
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(DimensionMismatch, match="model_meta.json"):
             training.load_model(tmp_path)
