@@ -84,6 +84,8 @@ def _read_config(path, command: CommandParser) -> dict:
 
 
 def cmd_gen_data(args) -> int:
+    if args.n < 1:
+        raise ConfigInvalid(f"n={args.n} is below 1")
     ws = Path(args.workspace)
     ws.mkdir(parents=True, exist_ok=True)
     latent_path = ws / "latents.npy"
@@ -171,6 +173,8 @@ def cmd_edit(args) -> int:
 def cmd_evaluate(args) -> int:
     if not 0 < args.threshold < 1:  # NaN fails too
         raise ConfigInvalid(f"threshold {args.threshold} is not in (0, 1)")
+    if args.n < 1:
+        raise ConfigInvalid(f"n={args.n} is below 1")
     ws = Path(args.workspace)
     world = oracle.load_world(ws)
     pipeline = _load_pipeline(ws)
@@ -180,38 +184,15 @@ def cmd_evaluate(args) -> int:
     classify = lambda w: oracle.classify(world, w)
     embed = lambda w: oracle.embed_identity(world, w)
     sampler = lambda n, seed: oracle.sample_w(world, n, seed)
-    n_attrs = world.n_attributes
-
     searches = {"autoencoder": functools.partial(editor.search_positive, pipeline),
                 "linear": linear.search_positive}
-    methods = {}
-    for name, search in searches.items():
-        pairs_per_attr = [evaluation.build_edit_pairs(
-            search, classify, sampler, k, n=args.n, threshold=args.threshold,
-            seed=args.seed + k) for k in range(n_attrs)]
-        mat = evaluation.variation_matrix(pairs_per_attr, classify)
-        rates = [p.success_rate for p in pairs_per_attr]
-        identities = [evaluation.identity_similarity(p, embed)
-                      for p in pairs_per_attr if p.n_success > 0]
-        frechets = []
-        for p in pairs_per_attr:
-            if p.n_success > p.negatives.shape[1]:
-                frechets.append(evaluation.frechet_distance(p.negatives, p.positives))
-            else:
-                frechets.append(float("nan"))
-        methods[name] = {
-            "rates": rates,
-            "n_negatives": [p.n_negatives for p in pairs_per_attr],
-            "n_success": [p.n_success for p in pairs_per_attr],
-            "variation_matrix": mat,
-            # a row without a successful edit is NaN and counts as 0 here;
-            # n_success tells which rows those are
-            "off_diagonal_sum": evaluation.off_diagonal_sum(np.nan_to_num(mat)),
-            "identity": float(np.mean(identities)) if identities else float("nan"),
-            "frechet": frechets,
-        }
-        if args.csv:
-            np.savetxt(ws / f"variation_{name}.csv", mat, delimiter=",")
+    methods = {name: evaluation.score_method(
+        search, classify, embed, sampler, world.n_attributes, args.n,
+        args.threshold, args.seed) for name, search in searches.items()}
+    if args.csv:
+        for name, block in methods.items():
+            np.savetxt(ws / f"variation_{name}.csv", block["variation_matrix"],
+                       delimiter=",")
 
     report = evaluation.make_report(
         config={k: v for k, v in vars(args).items()
@@ -224,10 +205,10 @@ def cmd_evaluate(args) -> int:
     out = ws / "report.json"
     out.write_text(json.dumps(report, indent=2))
     print(f"wrote {out}")
-    for name, metrics in methods.items():
-        off = ("n/a" if 0 in metrics["n_success"]  # unknown, not zero
-               else f"{metrics['off_diagonal_sum']:.3f}")
-        print(f"  {name}: mean rate {np.nanmean(metrics['rates']):.3f}, "
+    for name, block in methods.items():
+        off = ("n/a" if 0 in block["n_success"]  # unknown, not zero
+               else f"{block['off_diagonal_sum']:.3f}")
+        print(f"  {name}: mean rate {np.nanmean(block['well_edited_rates']):.3f}, "
               f"off-diagonal sum {off}")
     return 0
 

@@ -124,13 +124,38 @@ def _check_psd(eigenvalues, tol: float = 1e-6):
         raise NonPSD("covariance product has significantly negative eigenvalues")
 
 
-def make_report(config=None, seeds=None, amplitude_grid=None, threshold=None,
-                methods=None) -> dict:
+def score_method(search, classify_fn, embed_fn, sample_fn, n_attributes: int,
+                 n: int, threshold: float, seed: int) -> dict:
+    """One editing method's report block, under the report's keys; the
+    pairs of attribute k come from build_edit_pairs at seed + k. An attribute
+    without a success has a NaN variation row (0 in off_diagonal_sum) and no
+    part in identity_similarity; a Fréchet distance with n_success <= m is
+    NaN."""
+    pairs = [build_edit_pairs(search, classify_fn, sample_fn, k, n=n,
+                              threshold=threshold, seed=seed + k)
+             for k in range(n_attributes)]
+    mat = variation_matrix(pairs, classify_fn)
+    identities = [identity_similarity(p, embed_fn)
+                  for p in pairs if p.n_success > 0]
+    return {
+        "well_edited_rates": [p.success_rate for p in pairs],
+        "n_negatives": [p.n_negatives for p in pairs],
+        "n_success": [p.n_success for p in pairs],
+        "variation_matrix": mat,
+        "off_diagonal_sum": off_diagonal_sum(np.nan_to_num(mat)),
+        "identity_similarity": (float(np.mean(identities)) if identities
+                                else float("nan")),
+        "frechet_distances": [frechet_distance(p.negatives, p.positives)
+                              if p.n_success > p.negatives.shape[1]
+                              else float("nan") for p in pairs],
+    }
+
+
+def make_report(config, seeds, amplitude_grid, threshold, methods) -> dict:
     """Assemble the machine-readable evaluation report.
 
-    ``methods`` maps method name -> dict with keys rates, n_negatives,
-    n_success, variation_matrix, off_diagonal_sum, identity, frechet (any
-    may be missing -> null; NaN -> null).
+    ``methods`` maps method name -> its score_method block; arrays become
+    lists and NaN becomes null.
     """
     def clean(value):
         if isinstance(value, np.ndarray):
@@ -147,19 +172,10 @@ def make_report(config=None, seeds=None, amplitude_grid=None, threshold=None,
         "schema_version": 1,
         "config": config,
         "seeds": seeds,
-        "amplitude_grid": list(amplitude_grid) if amplitude_grid else None,
+        "amplitude_grid": clean(amplitude_grid),
         "threshold": threshold,
-        "methods": {},
+        "methods": {name: {key: clean(value) for key, value in block.items()}
+                    for name, block in methods.items()},
     }
-    for name, metrics in (methods or {}).items():
-        report["methods"][name] = {
-            "well_edited_rates": clean(metrics.get("rates")),
-            "n_negatives": clean(metrics.get("n_negatives")),
-            "n_success": clean(metrics.get("n_success")),
-            "variation_matrix": clean(metrics.get("variation_matrix")),
-            "off_diagonal_sum": clean(metrics.get("off_diagonal_sum")),
-            "identity_similarity": clean(metrics.get("identity")),
-            "frechet_distances": clean(metrics.get("frechet")),
-        }
     json.dumps(report)  # guarantee serializability before returning
     return report

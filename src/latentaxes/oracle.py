@@ -53,7 +53,7 @@ def make_world(m: int, n_attributes: int, q: int, correlated: bool = False,
     if k < 1 or q < 0:
         raise ConfigInvalid(f"need K >= 1 and q >= 0, got K={k}, q={q}")
     if m <= k + q:
-        raise DimensionMismatch(f"need m > K + q, got m={m}, K={k}, q={q}")
+        raise ConfigInvalid(f"need m > K + q, got m={m}, K={k}, q={q}")
     rng = np.random.default_rng(seed)
     full, _ = np.linalg.qr(rng.normal(size=(m, k + q)))
     a = full[:, :k].T

@@ -277,18 +277,15 @@ def test_criterion_8_determinism(tmp_path):
     for rep in range(2):
         model, history = training.train(top, ag, cfg)
         pipe = editor.EditPipeline(pca=pm, transform=tr, model=model)
-        classify = lambda w: oracle.classify(world, w)
-        sample = lambda n, s: oracle.sample_w(world, n, s)
-        pairs = [evaluation.build_edit_pairs(ae_search(pipe), classify, sample,
-                                             k, n=256, seed=50 + k)
-                 for k in range(3)]
-        mat = evaluation.variation_matrix(pairs, classify)
+        block = evaluation.score_method(
+            ae_search(pipe), lambda w: oracle.classify(world, w),
+            lambda w: oracle.embed_identity(world, w),
+            lambda n, s: oracle.sample_w(world, n, s), 3, n=256,
+            threshold=0.9, seed=50)
         report = evaluation.make_report(
             config=dict(cfg.__dict__), seeds={"world": 5, "data": 6},
             amplitude_grid=[float(a) for a in AMPLITUDE_GRID], threshold=0.9,
-            methods={"autoencoder": {
-                "rates": [p.success_rate for p in pairs],
-                "variation_matrix": mat}})
+            methods={"autoencoder": block})
         reports.append((model, history, repr(report)))
     m1, h1, r1 = reports[0]
     m2, h2, r2 = reports[1]

@@ -57,6 +57,8 @@ def test_fit_rejects_oversized_d(workspace):
      "world_meta.json"),
     (("gen-data", "--q", -1, "--force"), "need K >= 1 and q >= 0, got K=5, "
      "q=-1", "world_meta.json"),
+    (("gen-data", "--m", 8, "--force"), "need m > K + q, got m=8, K=5, q=8",
+     "world_meta.json"),
     (("evaluate", "--threshold", "nan"), "threshold nan is not in (0, 1)",
      "report.json"),
     (("evaluate", "--threshold", 1.5), "threshold 1.5 is not in (0, 1)",
@@ -66,7 +68,7 @@ def test_fit_rejects_oversized_d(workspace):
     (("evaluate", "--threshold", "inf"), "threshold inf is not in (0, 1)",
      "report.json")],
     ids=["fit-d-0", "fit-d-negative", "gen-data-k-0", "gen-data-q-negative",
-         "threshold-nan", "threshold-1.5", "threshold-0", "threshold-inf"])
+         "gen-data-m-8", "threshold-nan", "threshold-1.5", "threshold-0", "threshold-inf"])
 def test_out_of_range_flag_is_a_config_error(workspace, tmp_path, capsys,
                                              argv, message, unwritten):
     ws = shutil.copytree(workspace, tmp_path / "ws")
@@ -114,6 +116,10 @@ def test_evaluate_report_schema(workspace):
     assert report["schema_version"] == 1
     assert report["threshold"] == 0.9
     assert set(report["methods"]) == {"autoencoder", "linear"}
+    for block in report["methods"].values():
+        assert set(block) == {"well_edited_rates", "n_negatives", "n_success",
+                              "variation_matrix", "off_diagonal_sum",
+                              "identity_similarity", "frechet_distances"}
     ae = report["methods"]["autoencoder"]
     assert len(ae["well_edited_rates"]) == 3
     assert len(ae["variation_matrix"]) == 3
@@ -283,17 +289,20 @@ def test_missing_data_is_data_error(tmp_path):
 
 
 def test_gen_data_refuses_negative_n(tmp_path, capsys):
-    assert run("gen-data", "--workspace", tmp_path, "--n", -5) == cli.CONFIG_ERROR
-    assert "sample count -5 is negative" in capsys.readouterr().err
-    assert not (tmp_path / "latents.npy").exists()
+    for n in (-5, 0):
+        ws = tmp_path / str(n)
+        assert run("gen-data", "--workspace", ws, "--n", n) == cli.CONFIG_ERROR
+        assert f"config error: n={n} is below 1" in capsys.readouterr().err
+        assert not ws.exists()
 
 
 def test_evaluate_refuses_negative_n(workspace, tmp_path, capsys):
     ws = shutil.copytree(workspace, tmp_path / "ws")
     (ws / "report.json").unlink(missing_ok=True)
-    assert run("evaluate", "--workspace", ws, "--n", -1) == cli.CONFIG_ERROR
-    assert "sample count -1 is negative" in capsys.readouterr().err
-    assert not (ws / "report.json").exists()
+    for n in (-1, 0):
+        assert run("evaluate", "--workspace", ws, "--n", n) == cli.CONFIG_ERROR
+        assert f"config error: n={n} is below 1" in capsys.readouterr().err
+        assert not (ws / "report.json").exists()
 
 
 @pytest.mark.parametrize("option, value", [

@@ -13,6 +13,7 @@ from latentaxes.evaluation import (
     identity_similarity,
     make_report,
     off_diagonal_sum,
+    score_method,
     variation_matrix,
 )
 
@@ -144,9 +145,60 @@ class TestBuildEditPairs:
         np.testing.assert_array_equal(p1.positives, p2.positives)
 
 
+REPORT_KEYS = {"well_edited_rates", "n_negatives", "n_success",
+               "variation_matrix", "off_diagonal_sum", "identity_similarity",
+               "frechet_distances"}
+
+
+class TestScoreMethod:
+    # attribute 0 succeeds on every negative, attribute 1 on exactly m of
+    # them, attribute 2 never
+    M, K = 4, 3
+
+    def classify(self, w):
+        return 1 / (1 + np.exp(-w[:, :self.K]))
+
+    def sample(self, n, seed):
+        return np.random.default_rng(seed).normal(size=(n, self.M))
+
+    def search(self, latents, k, classify_fn, threshold):
+        edited = latents.copy()
+        edited[:, k] = 3.0
+        success = np.zeros(latents.shape[0], bool)
+        success[:{0: latents.shape[0], 1: self.M, 2: 0}[k]] = True
+        return edited, success, classify_fn(edited)[:, k]
+
+    def test_unknown_figures(self):
+        embed = lambda w: w
+        block = score_method(self.search, self.classify, embed, self.sample,
+                             self.K, n=200, threshold=0.9, seed=10)
+        assert set(block) == REPORT_KEYS
+        assert block["n_success"] == [block["n_negatives"][0], self.M, 0]
+        mat = block["variation_matrix"]
+        assert np.isnan(mat[2]).all() and np.isfinite(mat[:2]).all()
+        # the NaN row counts as 0
+        off = sum(abs(mat[i, j]) for i in range(2) for j in range(self.K)
+                  if i != j)
+        assert block["off_diagonal_sum"] == pytest.approx(off, rel=1e-12)
+        pairs = [build_edit_pairs(self.search, self.classify, self.sample, k,
+                                  n=200, threshold=0.9, seed=10 + k)
+                 for k in range(2)]
+        assert block["identity_similarity"] == pytest.approx(
+            np.mean([identity_similarity(p, embed) for p in pairs]))
+        # n_success <= m: no Fréchet distance
+        frechet = block["frechet_distances"]
+        assert frechet[0] == frechet_distance(pairs[0].negatives,
+                                              pairs[0].positives)
+        assert np.isnan(frechet[1]) and np.isnan(frechet[2])
+        report = make_report(config={}, seeds={}, amplitude_grid=(0.9,),
+                             threshold=0.9, methods={"stub": block})
+        assert set(report["methods"]["stub"]) == REPORT_KEYS
+
+
 class TestReport:
     def test_empty_metrics_valid_json(self):
-        report = make_report()
+        report = make_report(config=None, seeds=None, amplitude_grid=None,
+                             threshold=None, methods={})
         parsed = json.loads(json.dumps(report))
         assert parsed["methods"] == {}
         assert parsed["config"] is None
@@ -155,8 +207,9 @@ class TestReport:
         mat = np.array([[0.5, np.nan], [0.1, 0.4]])
         report = make_report(config={"n": 10}, seeds={"eval": 1},
                              amplitude_grid=(0.55, 0.9), threshold=0.9,
-                             methods={"ae": {"rates": [0.9, float("nan")],
-                                             "variation_matrix": mat}})
+                             methods={"ae": {
+                                 "well_edited_rates": [0.9, float("nan")],
+                                 "variation_matrix": mat}})
         parsed = json.loads(json.dumps(report))
         assert parsed["amplitude_grid"] == [0.55, 0.9]
         assert parsed["threshold"] == 0.9

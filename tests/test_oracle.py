@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentaxes import oracle
-from latentaxes.errors import ConfigInvalid, DimensionMismatch
+from latentaxes.errors import ConfigInvalid
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def test_same_seed_same_world(world):
 
 
 def test_dimension_guard():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigInvalid, match="need m > K \\+ q"):
         oracle.make_world(10, 5, 8)
 
 
