@@ -8,7 +8,8 @@ The fit minimizes, on standardized features xs = (x - mu) / sigma,
 
 with the bias b unpenalized. The objective is strictly convex, so a damped
 Newton (IRLS) solve reaches its unique optimum in a handful of
-(m+1)x(m+1) solves (Hastie, Tibshirani & Friedman, ESL 4.4.1).
+(m+1)x(m+1) solves (Hastie, Tibshirani & Friedman, ESL 4.4.1). The optimum
+is float64; only the Hessian's feature block is float32 (inexact Newton).
 """
 
 import json
@@ -43,10 +44,11 @@ def fit_direction(latents: np.ndarray, labels: np.ndarray) -> LinearDirection:
     NotConverged after FIT_MAX_ITER steps. Returns w / sigma, the direction
     in the original space, at unit norm, and the standardized bias b.
 
-    xs is never formed: the logits are x @ v + c with (v, c) = (w / sigma,
-    b - mu @ w / sigma), and the Hessian in (v, c) is mapped to (w, b), so
-    the loop's one n-by-m temporary is x times the IRLS weights. A constant
-    column (sigma 0) is taken with sigma 1, and gets a zero coefficient.
+    The logits x @ v + c, with (v, c) = (w / sigma, b - mu @ w / sigma), the
+    gradient and the line search are float64, so the fixed point is the
+    float64 optimum; the Hessian's feature block is a float32 product of the
+    standardized latents (raw ones lose the optimum to cancellation). A
+    constant column (sigma 0) is taken with sigma 1, and gets a zero weight.
 
     NaN or infinite latents or labels raise NonFinite naming the first bad
     row; labels other than 0 and 1 raise OutOfDomain, and labels of one
@@ -56,7 +58,28 @@ def fit_direction(latents: np.ndarray, labels: np.ndarray) -> LinearDirection:
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise DimensionMismatch("latents must be (n, m), labels (n,)")
+    return _fit(x, y, *_design(x))
+
+
+def _design(x: np.ndarray):
+    """What every attribute's fit on latents x shares, after x's check:
+    sigma, to_raw with (v, c) = to_raw @ (w, b), and xs32, the standardized
+    x in float32, filled in row blocks so that no n-by-m float64 is made."""
     check_finite_rows("latents", x)
+    n, m = x.shape
+    mu = x.mean(axis=0)
+    sigma = x.std(axis=0)
+    sigma[sigma == 0] = 1.0
+    to_raw = np.eye(m + 1)
+    to_raw[:m, :m] /= sigma
+    to_raw[m, :m] = -mu / sigma
+    xs32 = np.empty((n, m), dtype=np.float32)
+    for i in range(0, n, 4096):
+        xs32[i:i + 4096] = (x[i:i + 4096] - mu) / sigma
+    return sigma, to_raw, xs32
+
+
+def _fit(x, y, sigma, to_raw, xs32) -> LinearDirection:
     check_finite_rows("labels", y)
     off = (y != 0.0) & (y != 1.0)
     if off.any():
@@ -65,12 +88,6 @@ def fit_direction(latents: np.ndarray, labels: np.ndarray) -> LinearDirection:
     if y.min() == y.max():
         raise SingleClass("both classes must be present")
     n, m = x.shape
-    mu = x.mean(axis=0)
-    sigma = x.std(axis=0)
-    sigma[sigma == 0] = 1.0
-    to_raw = np.eye(m + 1)  # (v, c) = to_raw @ (w, b)
-    to_raw[:m, :m] /= sigma
-    to_raw[m, :m] = -mu / sigma
     ridge = np.full(m + 1, 2.0 * FIT_L2)  # the penalty's Hessian diagonal
     ridge[m] = 0.0
 
@@ -84,12 +101,13 @@ def fit_direction(latents: np.ndarray, labels: np.ndarray) -> LinearDirection:
     for _ in range(FIT_MAX_ITER):
         p = expit(z)
         s = p * (1.0 - p) / n
-        hess[:m, :m] = x.T @ (x * s[:, None])
-        hess[:m, m] = hess[m, :m] = s @ x
-        hess[m, m] = s.sum()
-        r = p - y
-        grad = to_raw.T @ np.append(r @ x, r.sum()) / n + ridge * theta
-        step = -np.linalg.solve(to_raw.T @ hess @ to_raw + np.diag(ridge), grad)
+        sr = np.stack([s, p - y])  # IRLS weights and residuals
+        # the Hessian's bias row and the gradient, mapped from (v, c) to (w, b)
+        hess_b, grad = np.column_stack([sr @ x, sr.sum(axis=1)]) @ to_raw
+        u = xs32 * np.sqrt(s).astype(np.float32)[:, None]
+        hess[:m, :m] = u.T @ u  # numpy forms u.T @ u by a symmetric rank-k update
+        hess[m] = hess[:, m] = hess_b
+        step = -np.linalg.solve(hess + np.diag(ridge), grad / n + ridge * theta)
         while True:
             dz = logits(step)
             # the objective's change, with log(1 + e^(z+dz)) - log(1 + e^z)
@@ -139,14 +157,21 @@ class LinearEditor:
 
 def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEditor:
     """Fit one direction per attribute, labels = raw value thresholded at 0.5
-    (a non-finite raw value stays non-finite, so the fit refuses it). A fit
-    error is raised again, of the same type, naming the attribute."""
+    (a non-finite raw value stays non-finite, so the fit refuses it). Bad
+    shapes or latents are refused before any fit; a fit error is raised
+    again, of the same type, naming the attribute."""
+    x = np.asarray(latents, dtype=np.float64)
+    raw_attrs = np.asarray(raw_attrs, dtype=np.float64)
+    if x.ndim != 2 or raw_attrs.ndim != 2 or raw_attrs.shape[0] != x.shape[0]:
+        raise DimensionMismatch(f"latents {x.shape} and raw_attrs "
+                                f"{raw_attrs.shape} must be (n, m) and (n, K)")
+    design = _design(x)  # shared: each direction is fit_direction's, bit for bit
     dirs = []
     for k in range(raw_attrs.shape[1]):
         col = raw_attrs[:, k]
         labels = np.where(np.isfinite(col), col >= 0.5, np.nan)
         try:
-            dirs.append(fit_direction(latents, labels))
+            dirs.append(_fit(x, labels, *design))
         except LatentAxesError as exc:
             raise type(exc)(f"attribute {k}: {exc}") from exc
     return LinearEditor(directions=tuple(dirs))

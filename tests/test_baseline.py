@@ -116,12 +116,18 @@ def test_save_load_round_trip(tmp_path):
         assert d1.bias == d2.bias
 
 
-@pytest.mark.parametrize("case", ["noisy", "near-separable", "overlong-steps"])
+@pytest.mark.parametrize("case", ["noisy", "near-separable", "overlong-steps",
+                                  "large-offset"])
 def test_newton_fit_is_the_optimum(case, monkeypatch):
     rng = np.random.default_rng(20)
     if case == "near-separable":
         x = rng.normal(size=(2000, 4))
         y = (x[:, 0] > 0).astype(float)
+    elif case == "large-offset":
+        # a Hessian block in raw coordinates loses this optimum to cancellation
+        x = rng.normal(size=(600, 4)) + [0.0, 1e5, 0.0, 0.0]
+        logits = 1.5 * (x[:, 0] - 0.8 * (x[:, 1] - 1e5) + 0.5 * x[:, 2])
+        y = (rng.random(600) < expit(logits)).astype(float)
     else:
         x = rng.normal(size=(600, 5)) * [1.0, 3.0, 0.2, 1.0, 5.0] + [0, 4, -2, 1, 10]
         logits = 1.5 * (x[:, 0] - 0.3 * x[:, 1] + 2.0 * x[:, 2])
@@ -184,3 +190,49 @@ def test_fit_all_names_the_failing_attribute(monkeypatch):
     monkeypatch.setattr(baseline, "FIT_MAX_ITER", 1)
     with pytest.raises(NotConverged, match="^attribute 0: no convergence"):
         baseline.fit_all_directions(x, attrs)
+
+
+def test_fit_all_refuses_mismatched_shapes_before_fitting():
+    rng = np.random.default_rng(26)
+    x = rng.normal(size=(200, 4))
+    attrs = rng.random(size=(200, 3))
+    with pytest.raises(DimensionMismatch,
+                       match=r"^latents \(200, 4\) and raw_attrs \(200,\) "):
+        baseline.fit_all_directions(x, attrs[:, 0])
+    with pytest.raises(DimensionMismatch,
+                       match=r"^latents \(200, 4\) and raw_attrs \(199, 3\) "):
+        baseline.fit_all_directions(x, attrs[:199])
+
+
+def test_fit_all_refuses_non_finite_latents_for_no_one_attribute():
+    rng = np.random.default_rng(27)
+    x = rng.normal(size=(200, 4))
+    x[17, 2] = np.nan
+    with pytest.raises(NonFinite, match="^latents row 17 "):
+        baseline.fit_all_directions(x, rng.random(size=(200, 3)))
+
+
+def test_fit_all_equals_fit_direction_bit_for_bit():
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(5000, 6)) * [1.0, 2.0, 0.5, 1.0, 3.0, 1.0] + 7.0
+    attrs = expit(x[:, :3] - 7.0 + rng.normal(size=(5000, 3)))
+    editor = baseline.fit_all_directions(x, attrs)
+    for k in range(3):
+        d = baseline.fit_direction(x, (attrs[:, k] >= 0.5).astype(float))
+        np.testing.assert_array_equal(editor.directions[k].unit, d.unit)
+        assert editor.directions[k].bias == d.bias
+
+
+def test_desk_fit_takes_newton_steps(monkeypatch):
+    # the desk scale of the acceptance suite; exact Newton takes 9 steps on
+    # every attribute, so more than 10 means the step has lost its
+    # quadratic convergence
+    world = oracle.make_world(32, 5, 8, correlated=True, seed=7)
+    latents, attrs = oracle.build_dataset(world, 20000, seed=8)
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: calls.append(1) or solve(a, b))
+    for k in range(5):
+        calls.clear()
+        baseline.fit_direction(latents, (attrs[:, k] >= 0.5).astype(float))
+        assert len(calls) <= 10, f"attribute {k}: {len(calls)} Newton steps"
