@@ -12,7 +12,6 @@ Newton (IRLS) solve reaches its unique optimum in a handful of
 is float64; only the Hessian's feature block is float32 (inexact Newton).
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,9 +19,8 @@ import numpy as np
 from scipy.special import expit
 
 from .editor import first_hit
-from .errors import (DimensionMismatch, LatentAxesError, NotConverged,
-                     OutOfDomain, SingleClass)
-from .npyio import check_finite_rows, read_matrix, read_meta, write_matrix
+from .errors import DimensionMismatch, LatentAxesError, NotConverged, SingleClass
+from .npyio import check_finite_rows, read_matrix, write_matrix
 
 DEFAULT_AMPLITUDES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
 FIT_L2 = 1e-3       # ridge weight on the standardized coefficients w
@@ -30,61 +28,8 @@ FIT_TOL = 1e-12     # converged once a step moves no coefficient by this much
 FIT_MAX_ITER = 50   # Newton steps before NotConverged; the desk data takes 9
 
 
-@dataclass(frozen=True)
-class LinearDirection:
-    unit: np.ndarray  # unit-norm direction
-    bias: float
-    space: str = "W"
-
-
-def fit_direction(latents: np.ndarray, labels: np.ndarray) -> LinearDirection:
-    """Fit the module's objective by damped Newton: each step solves the
-    Hessian system for (w, b) and is halved while the objective rises; the
-    fit stops once a step moves no coefficient by FIT_TOL, and raises
-    NotConverged after FIT_MAX_ITER steps. Returns w / sigma, the direction
-    in the original space, at unit norm, and the standardized bias b.
-
-    The logits x @ v + c, with (v, c) = (w / sigma, b - mu @ w / sigma), the
-    gradient and the line search are float64, so the fixed point is the
-    float64 optimum; the Hessian's feature block is a float32 product of the
-    standardized latents (raw ones lose the optimum to cancellation). A
-    constant column (sigma 0) is taken with sigma 1, and gets a zero weight.
-
-    NaN or infinite latents or labels raise NonFinite naming the first bad
-    row; labels other than 0 and 1 raise OutOfDomain, and labels of one
-    class SingleClass.
-    """
-    x = np.asarray(latents, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise DimensionMismatch("latents must be (n, m), labels (n,)")
-    return _fit(x, y, *_design(x))
-
-
-def _design(x: np.ndarray):
-    """What every attribute's fit on latents x shares, after x's check:
-    sigma, to_raw with (v, c) = to_raw @ (w, b), and xs32, the standardized
-    x in float32, filled in row blocks so that no n-by-m float64 is made."""
-    check_finite_rows("latents", x)
-    n, m = x.shape
-    mu = x.mean(axis=0)
-    sigma = x.std(axis=0)
-    sigma[sigma == 0] = 1.0
-    to_raw = np.eye(m + 1)
-    to_raw[:m, :m] /= sigma
-    to_raw[m, :m] = -mu / sigma
-    xs32 = np.empty((n, m), dtype=np.float32)
-    for i in range(0, n, 4096):
-        xs32[i:i + 4096] = (x[i:i + 4096] - mu) / sigma
-    return sigma, to_raw, xs32
-
-
-def _fit(x, y, sigma, to_raw, xs32) -> LinearDirection:
+def _fit(x, y, sigma, to_raw, xs32):
     check_finite_rows("labels", y)
-    off = (y != 0.0) & (y != 1.0)
-    if off.any():
-        i = np.argmax(off)
-        raise OutOfDomain(f"labels row {i} is {y[i]!r}, not 0 or 1")
     if y.min() == y.max():
         raise SingleClass("both classes must be present")
     n, m = x.shape
@@ -129,15 +74,14 @@ def _fit(x, y, sigma, to_raw, xs32) -> LinearDirection:
         raise NotConverged(f"no convergence in {FIT_MAX_ITER} Newton steps "
                            f"(last step {np.abs(step).max():.3g})")
     unit = theta[:m] / sigma
-    return LinearDirection(unit=unit / np.linalg.norm(unit), bias=float(theta[m]))
+    return unit / np.linalg.norm(unit), theta[m]
 
 
-def linear_edit(w: np.ndarray, direction: LinearDirection,
-                amplitude: float) -> np.ndarray:
+def linear_edit(w: np.ndarray, unit: np.ndarray, amplitude: float) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
-    if w.shape[-1] != direction.unit.shape[0]:
+    if w.shape[-1] != unit.shape[0]:
         raise DimensionMismatch("latent/direction dims differ")
-    return w + amplitude * direction.unit
+    return w + amplitude * unit
 
 
 @dataclass(frozen=True)
@@ -145,54 +89,70 @@ class LinearEditor:
     """Per-attribute linear directions; the positive-edit search walks fixed
     step lengths along them through the shared ``editor.first_hit``."""
 
-    directions: tuple  # one LinearDirection per attribute
+    units: np.ndarray   # (K, m): row k is attribute k's unit-norm direction
+    biases: np.ndarray  # (K,): attribute k's standardized bias b
 
     def search_positive(self, latents: np.ndarray, k: int, classify_fn,
                         threshold: float = 0.9):
         latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
         return first_hit(latents, k, classify_fn, threshold,
-                         (linear_edit(latents, self.directions[k], amp)
+                         (linear_edit(latents, self.units[k], amp)
                           for amp in DEFAULT_AMPLITUDES))
 
 
 def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEditor:
-    """Fit one direction per attribute, labels = raw value thresholded at 0.5
-    (a non-finite raw value stays non-finite, so the fit refuses it). Bad
-    shapes or latents are refused before any fit; a fit error is raised
-    again, of the same type, naming the attribute."""
+    """Fit the module's objective for each attribute k on labels y = raw
+    value >= 0.5 (a non-finite raw value stays non-finite, so the fit
+    refuses it) by damped Newton: each step solves the Hessian system for
+    (w, b) and is halved while the objective rises; a fit stops once a step
+    moves no coefficient by FIT_TOL and raises NotConverged after
+    FIT_MAX_ITER steps. units[k] is w / sigma, the direction in the original
+    space, at unit norm; biases[k] is b.
+
+    The logits x @ v + c, with (v, c) = (w / sigma, b - mu @ w / sigma), the
+    gradient and the line search are float64, so the fixed point is the
+    float64 optimum; the Hessian's feature block is a float32 product of the
+    standardized latents (raw ones lose the optimum to cancellation), shared
+    by every attribute. A constant column (sigma 0) gets sigma 1 and a zero
+    weight. Bad shapes and non-finite latents are refused before any fit; a
+    fit error is raised again, of the same type, naming the attribute.
+    """
     x = np.asarray(latents, dtype=np.float64)
     raw_attrs = np.asarray(raw_attrs, dtype=np.float64)
     if x.ndim != 2 or raw_attrs.ndim != 2 or raw_attrs.shape[0] != x.shape[0]:
         raise DimensionMismatch(f"latents {x.shape} and raw_attrs "
                                 f"{raw_attrs.shape} must be (n, m) and (n, K)")
-    design = _design(x)  # shared: each direction is fit_direction's, bit for bit
-    dirs = []
-    for k in range(raw_attrs.shape[1]):
-        col = raw_attrs[:, k]
+    check_finite_rows("latents", x)
+    # shared by every fit: (v, c) = to_raw @ (w, b), and xs32, the standardized
+    # x in float32, filled in row blocks so that no n-by-m float64 is made
+    n, m = x.shape
+    mu = x.mean(axis=0)
+    sigma = x.std(axis=0)
+    sigma[sigma == 0] = 1.0
+    to_raw = np.eye(m + 1)
+    to_raw[:m, :m] /= sigma
+    to_raw[m, :m] = -mu / sigma
+    xs32 = np.empty((n, m), dtype=np.float32)
+    for i in range(0, n, 4096):
+        xs32[i:i + 4096] = (x[i:i + 4096] - mu) / sigma
+    units, biases = np.empty((raw_attrs.shape[1], m)), np.empty(raw_attrs.shape[1])
+    for k, col in enumerate(raw_attrs.T):
         labels = np.where(np.isfinite(col), col >= 0.5, np.nan)
         try:
-            dirs.append(_fit(x, labels, *design))
+            units[k], biases[k] = _fit(x, labels, sigma, to_raw, xs32)
         except LatentAxesError as exc:
             raise type(exc)(f"attribute {k}: {exc}") from exc
-    return LinearEditor(directions=tuple(dirs))
+    return LinearEditor(units=units, biases=biases)
 
 
 def save_directions(editor: LinearEditor, directory) -> None:
+    """Write ``directions.npy``: row k is units[k], then biases[k]."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    units = np.stack([d.unit for d in editor.directions])
-    write_matrix(units, directory / "directions.npy")
-    meta = {"biases": [d.bias for d in editor.directions],
-            "space": editor.directions[0].space}
-    (directory / "directions_meta.json").write_text(json.dumps(meta, indent=2))
+    write_matrix(np.column_stack([editor.units, editor.biases]),
+                 directory / "directions.npy")
 
 
 def load_directions(directory) -> LinearEditor:
-    directory = Path(directory)
-    units = read_matrix(directory / "directions.npy")
-    meta = read_meta(directory / "directions_meta.json",
-                     {"biases": list, "space": str})
-    dirs = tuple(LinearDirection(unit=units[i], bias=float(meta["biases"][i]),
-                                 space=meta["space"])
-                 for i in range(units.shape[0]))
-    return LinearEditor(directions=dirs)
+    directions = read_matrix(Path(directory) / "directions.npy")
+    return LinearEditor(units=directions[:, :-1], biases=directions[:, -1])

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, editor, evaluation, gaussianize, oracle, pca, training
-from .errors import ConfigInvalid, LatentAxesError, NonFinite, NonPSD
+from .errors import ConfigInvalid, DimensionMismatch, LatentAxesError, NonFinite, NonPSD
 from .npyio import (check_type, load_dataset, read_json_object, read_matrix,
                     write_matrix)
 
@@ -150,6 +150,8 @@ def _load_pipeline(ws: Path) -> editor.EditPipeline:
 
 
 def cmd_edit(args) -> int:
+    if not np.isfinite(args.target):
+        raise ConfigInvalid(f"--target {args.target} is not finite")
     ws = Path(args.workspace)
     pipeline = _load_pipeline(ws)
     latents = read_matrix(args.latents)
@@ -178,6 +180,12 @@ def cmd_evaluate(args) -> int:
     ws = Path(args.workspace)
     world = oracle.load_world(ws)
     pipeline = _load_pipeline(ws)
+    for what, have, want in (
+            ("attributes", world.n_attributes, pipeline.model.n_attributes),
+            ("latent dimensions", world.dim, pipeline.pca.dim)):
+        if have != want:
+            raise DimensionMismatch(f"the world has {have} {what} but the model "
+                                    f"{want}: run fit and train again")
     latents, attrs = load_dataset(ws / "latents.npy", ws / "attrs.npy")
     linear = baseline.fit_all_directions(latents, attrs)
 
@@ -219,10 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=CommandParser)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--workspace", required=True, help="workspace directory")
         p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:  # fit and edit draw nothing at random
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gen-data", help="generate a synthetic latent/attribute dataset")
     common(p)
@@ -237,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("fit", help="fit the PCA basis and attribute transform")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--d", type=int, default=16, help="leading components kept")
     p.set_defaults(func=cmd_fit)
 
@@ -252,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("edit", help="edit one attribute of a latent batch")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--latents", required=True, help="input .npy latent matrix")
     p.add_argument("--attribute", type=int, required=True)
     p.add_argument("--target", type=float, required=True)

@@ -54,6 +54,8 @@ def make_world(m: int, n_attributes: int, q: int, correlated: bool = False,
         raise ConfigInvalid(f"need K >= 1 and q >= 0, got K={k}, q={q}")
     if m <= k + q:
         raise ConfigInvalid(f"need m > K + q, got m={m}, K={k}, q={q}")
+    if seed < 0:
+        raise ConfigInvalid(f"seed {seed} is negative")
     rng = np.random.default_rng(seed)
     full, _ = np.linalg.qr(rng.normal(size=(m, k + q)))
     a = full[:, :k].T
@@ -72,6 +74,8 @@ def make_world(m: int, n_attributes: int, q: int, correlated: bool = False,
 def sample_w(world: SyntheticWorld, n: int, seed: int) -> np.ndarray:
     if n < 0:
         raise ConfigInvalid(f"sample count {n} is negative")
+    if seed < 0:
+        raise ConfigInvalid(f"seed {seed} is negative")
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(n, world.dim))
     if world.mapping_kind == "tanh-mixed":

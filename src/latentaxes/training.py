@@ -203,6 +203,7 @@ def check_config(cfg: TrainConfig, where: str = "") -> None:
             ("learning_rate", 0 < cfg.learning_rate < np.inf, "finite and > 0"),
             ("alpha", 0 <= cfg.alpha < np.inf, "finite and >= 0"),
             ("beta", 0 <= cfg.beta < np.inf, "finite and >= 0"),
+            ("seed", cfg.seed >= 0, ">= 0"),
             ("corr_mode", cfg.corr_mode in CORR_MODES, f"one of {CORR_MODES}")):
         if not valid:
             raise ConfigInvalid(f"{where}{name} {getattr(cfg, name)!r} is not {rule}")

@@ -59,6 +59,9 @@ def test_fit_rejects_oversized_d(workspace):
      "q=-1", "world_meta.json"),
     (("gen-data", "--m", 8, "--force"), "need m > K + q, got m=8, K=5, q=8",
      "world_meta.json"),
+    (("gen-data", "--seed", -1, "--force"), "seed -1 is negative",
+     "world_meta.json"),
+    (("evaluate", "--seed", -1), "seed -1 is negative", "report.json"),
     (("evaluate", "--threshold", "nan"), "threshold nan is not in (0, 1)",
      "report.json"),
     (("evaluate", "--threshold", 1.5), "threshold 1.5 is not in (0, 1)",
@@ -68,7 +71,8 @@ def test_fit_rejects_oversized_d(workspace):
     (("evaluate", "--threshold", "inf"), "threshold inf is not in (0, 1)",
      "report.json")],
     ids=["fit-d-0", "fit-d-negative", "gen-data-k-0", "gen-data-q-negative",
-         "gen-data-m-8", "threshold-nan", "threshold-1.5", "threshold-0", "threshold-inf"])
+         "gen-data-m-8", "gen-data-seed-negative", "evaluate-seed-negative",
+         "threshold-nan", "threshold-1.5", "threshold-0", "threshold-inf"])
 def test_out_of_range_flag_is_a_config_error(workspace, tmp_path, capsys,
                                              argv, message, unwritten):
     ws = shutil.copytree(workspace, tmp_path / "ws")
@@ -96,6 +100,22 @@ def test_edit_roundtrip(workspace, tmp_path):
     assert edited.shape == (7, 16)
     assert run("edit", "--workspace", workspace, "--latents", src,
                "--attribute", 99, "--target", "1.2") == cli.CONFIG_ERROR
+    for target in ("nan", "inf"):
+        bad = tmp_path / f"{target}.npy"
+        assert run("edit", "--workspace", workspace, "--latents", src,
+                   "--attribute", 1, "--target", target,
+                   "--out", bad) == cli.CONFIG_ERROR
+        assert not bad.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit",), ("edit", "--latents", "in.npy", "--attribute", 0, "--target", 1)],
+    ids=["fit", "edit"])
+def test_seed_is_not_an_option_of_fit_or_edit(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(*argv, "--workspace", tmp_path, "--seed", 1)
+    assert info.value.code == cli.CONFIG_ERROR
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_edit_raw_target(workspace, tmp_path):
@@ -183,6 +203,24 @@ def test_evaluate_names_the_attribute_the_baseline_cannot_fit(
     break_fit(ws, monkeypatch)
     assert run("evaluate", "--workspace", ws, "--n", 64) == code
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gen_flags, message", [
+    (("--k", 5), "the world has 5 attributes but the model 3"),
+    (("--k", 2), "the world has 2 attributes but the model 3"),
+    (("--m", 20), "the world has 20 latent dimensions but the model 16")],
+    ids=["more-attributes", "fewer-attributes", "other-dimension"])
+def test_evaluate_refuses_a_world_that_does_not_match_the_model(
+        workspace, tmp_path, capsys, gen_flags, message):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    (ws / "report.json").unlink(missing_ok=True)
+    assert run("gen-data", "--workspace", ws, "--n", 3000, "--m", 16,
+               "--k", 3, "--q", 4, "--seed", 5, "--force", *gen_flags) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--workspace", ws, "--n", 64) == cli.DATA_ERROR
+    assert f"data error: {message}: run fit and train again" in \
+        capsys.readouterr().err
+    assert not (ws / "report.json").exists()
 
 
 def test_train_defaults_are_train_configs(workspace, monkeypatch):
@@ -307,7 +345,8 @@ def test_evaluate_refuses_negative_n(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--epochs", 0), ("--hidden-size", 0), ("--n-layers", 0),
-    ("--learning-rate", -1), ("--alpha", "nan"), ("--beta", -1)])
+    ("--learning-rate", -1), ("--alpha", "nan"), ("--beta", -1),
+    ("--seed", -1)])
 def test_train_refuses_invalid_config_before_writing(workspace, tmp_path,
                                                      capsys, option, value):
     ws = shutil.copytree(workspace, tmp_path / "ws")

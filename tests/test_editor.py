@@ -208,7 +208,7 @@ def test_linear_search_and_reference_agree(linear_setup, monkeypatch):
         negatives = samples[classify(samples)[:, k] < 0.5][:20]
         out = lin.search_positive(negatives, k, classify, 0.9)
         assert 0 < out[1].sum() < len(negatives)
-        edit_at = lambda w, a: baseline.linear_edit(w, lin.directions[k], a)
+        edit_at = lambda w, a: baseline.linear_edit(w, lin.units[k], a)
         assert_rows_match_reference(out, negatives, edit_at, k, classify,
                                     0.9, amplitudes)
 

@@ -387,7 +387,8 @@ class TestTrain:
         ("learning_rate", -1.0), ("learning_rate", 0.0),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("alpha", -1.0), ("alpha", float("nan")), ("beta", -0.5),
-        ("beta", float("inf")), ("corr_mode", "bogus"), ("corr_mode", "C")])
+        ("beta", float("inf")), ("corr_mode", "bogus"), ("corr_mode", "C"),
+        ("seed", -1)])
     def test_rejects_invalid_config(self, field, value, monkeypatch):
         # refused where it enters, before a net is built
         monkeypatch.setattr(training, "init_params", None)
