@@ -87,13 +87,13 @@ def cmd_gen_data(args) -> int:
     if args.n < 1:
         raise ConfigInvalid(f"n={args.n} is below 1")
     ws = Path(args.workspace)
-    ws.mkdir(parents=True, exist_ok=True)
     latent_path = ws / "latents.npy"
     if latent_path.exists() and not args.force:
         raise ConfigInvalid(f"{latent_path} exists; pass --force to overwrite")
     world = oracle.make_world(args.m, args.k, args.q,
                               correlated=args.correlated, seed=args.seed,
                               mapping_kind=args.mapping)
+    ws.mkdir(parents=True, exist_ok=True)
     latents, attrs = oracle.build_dataset(world, args.n, seed=args.seed + 1)
     write_matrix(latents, latent_path)
     write_matrix(attrs, ws / "attrs.npy")
@@ -177,6 +177,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigInvalid(f"threshold {args.threshold} is not in (0, 1)")
     if args.n < 1:
         raise ConfigInvalid(f"n={args.n} is below 1")
+    if args.seed < 0:
+        raise ConfigInvalid(f"seed {args.seed} is negative")
     ws = Path(args.workspace)
     world = oracle.load_world(ws)
     pipeline = _load_pipeline(ws)

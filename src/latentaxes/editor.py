@@ -90,39 +90,45 @@ def search_positive(pipeline: EditPipeline, latents: np.ndarray, k: int,
     Returns (edited (n, m), success (n,), achieved (n,))."""
     latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
     code = encode(pipeline, latents)
-    return first_hit(latents, k, classify_fn, threshold,
-                     (decode(pipeline, set_attribute(code, k, inv_norm_cdf(q)))
-                      for q in quantile_grid))
+
+    def candidate(i, rows):
+        sub = EditableCode(code.attr_slots[rows], code.free_slots[rows],
+                           code.residual[rows])
+        return decode(pipeline, set_attribute(sub, k, inv_norm_cdf(quantile_grid[i])))
+
+    return first_hit(latents, k, classify_fn, threshold, len(quantile_grid),
+                     candidate)
 
 
 def first_hit(latents: np.ndarray, k: int, classify_fn, threshold: float,
-              candidates):
+              n_candidates: int, candidate):
     """The amplitude walk shared by every editing method.
 
-    ``candidates`` yields edited batches shaped like ``latents``, in
-    increasing amplitude; it is drawn lazily and abandoned once every row
-    has hit. Each row takes the first candidate whose classifier output for
-    attribute k reaches the threshold; a row that never does keeps the
-    candidate with the highest output. Returns (edited, success, achieved).
+    ``candidate(i, rows)`` returns the i-th of ``n_candidates`` edits, in
+    increasing amplitude, of ``latents[rows]``, for an index array ``rows``.
+    Each step asks it only for the rows that have not hit yet, and the walk
+    stops once every row has hit. Each row takes the first candidate whose
+    classifier output for attribute k reaches the threshold; a row that
+    never does keeps the candidate with the highest output. Returns
+    (edited, success, achieved).
     """
     n = latents.shape[0]
     edited = np.empty_like(latents)
     achieved = np.full(n, -np.inf)
     success = np.zeros(n, dtype=bool)
-    pending = np.ones(n, dtype=bool)
-    for w_hat in candidates:
+    rows = np.arange(n)  # still pending
+    for i in range(n_candidates):
+        if rows.size == 0:
+            break
+        w_hat = candidate(i, rows)
         out = np.asarray(classify_fn(w_hat), dtype=np.float64)
         if not np.isfinite(out).all():
             raise OracleFailure("classifier returned non-finite values")
         vals = out[:, k]
-        hit = pending & (vals >= threshold)
-        edited[hit] = w_hat[hit]
-        achieved[hit] = vals[hit]
-        success[hit] = True
-        pending &= ~hit
-        improve = pending & (vals > achieved)
-        edited[improve] = w_hat[improve]
-        achieved[improve] = vals[improve]
-        if not pending.any():
-            break
+        hit = vals >= threshold
+        keep = hit | (vals > achieved[rows])
+        edited[rows[keep]] = w_hat[keep]
+        achieved[rows[keep]] = vals[keep]
+        success[rows[hit]] = True
+        rows = rows[~hit]
     return edited, success, achieved

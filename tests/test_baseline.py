@@ -222,15 +222,76 @@ def test_fit_all_equals_fitting_each_alone_bit_for_bit():
 
 
 def test_desk_fit_takes_newton_steps(monkeypatch):
-    # the desk scale of the acceptance suite; exact Newton takes 9 steps on
-    # every attribute, so more than 10 means the step has lost its
-    # quadratic convergence
+    # the desk scale of the acceptance suite. Exact Newton takes 9 steps on
+    # the first WARM_ROWS rows and, from there, 5 on all 20000 rows on every
+    # attribute; more means the step has lost its quadratic convergence or
+    # the warm start no longer starts near the optimum
     world = oracle.make_world(32, 5, 8, correlated=True, seed=7)
     latents, attrs = oracle.build_dataset(world, 20000, seed=8)
-    solve, calls = np.linalg.solve, []
+    rows, steps = [], []  # rows of each expit call; rows of each step's solve
+    expit, solve = baseline.expit, np.linalg.solve
+    monkeypatch.setattr(baseline, "expit",
+                        lambda z: rows.append(len(z)) or expit(z))
     monkeypatch.setattr(np.linalg, "solve",
-                        lambda a, b: calls.append(1) or solve(a, b))
+                        lambda a, b: steps.append(rows[-1]) or solve(a, b))
     for k in range(5):
-        calls.clear()
+        steps.clear()
         baseline.fit_all_directions(latents, attrs[:, [k]])
-        assert len(calls) <= 10, f"attribute {k}: {len(calls)} Newton steps"
+        block, full = steps.count(baseline.WARM_ROWS), steps.count(20000)
+        assert block + full == len(steps)
+        assert 1 <= block <= 10, f"attribute {k}: {block} block steps"
+        assert full <= 5, f"attribute {k}: {full} full-data steps"
+
+
+def warm_start_case(one_class_block=False):
+    """6000 near-separable rows: more than 2 * WARM_ROWS, so warm-started."""
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(6000, 4)) * [1.0, 2.0, 0.5, 1.0] + [0, 3, -1, 0]
+    y = (x[:, 0] - 0.2 * x[:, 1] > -0.6).astype(float)
+    if one_class_block:  # every negative first: the first 2048 labels are 0
+        order = np.argsort(y, kind="stable")
+        x, y = x[order], y[order]
+        assert y[:baseline.WARM_ROWS].max() == 0.0
+    return x, y
+
+
+@pytest.mark.parametrize("case", ["warm", "warm-overlong-steps",
+                                  "one-class-block"])
+def test_warm_started_fit_is_the_optimum(case, monkeypatch):
+    x, y = warm_start_case(one_class_block=case == "one-class-block")
+    unit, bias = reference_optimum(x, y)
+    rows, expit = [], baseline.expit
+    monkeypatch.setattr(baseline, "expit",
+                        lambda z: rows.append(len(z)) or expit(z))
+    if case == "warm-overlong-steps":
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: 10.0 * solve(a, b))
+    fit_unit, fit_bias = fit_one(x, y)
+    # the one-class block is skipped: all rows from the zero start
+    assert (baseline.WARM_ROWS in rows) == (case != "one-class-block")
+    assert fit_unit @ unit >= 1 - 1e-10
+    assert fit_bias == pytest.approx(bias, abs=1e-8)
+
+
+def test_failed_warm_start_hides_no_full_fit_result(monkeypatch):
+    x, y = warm_start_case()
+    unit, bias = reference_optimum(x, y)
+    fit = baseline._fit
+
+    def block_never_converges(xb, *args):
+        if len(xb) == baseline.WARM_ROWS:
+            raise NotConverged("block")
+        return fit(xb, *args)
+
+    monkeypatch.setattr(baseline, "_fit", block_never_converges)
+    fit_unit, fit_bias = fit_one(x, y)
+    assert fit_unit @ unit >= 1 - 1e-10
+    assert fit_bias == pytest.approx(bias, abs=1e-8)
+    monkeypatch.setattr(baseline, "_fit", fit)
+    bad = y.copy()
+    bad[3000] = np.nan  # past the warm-start rows
+    with pytest.raises(NonFinite, match="^attribute 0: labels row 3000 "):
+        fit_one(x, bad)
+    monkeypatch.setattr(baseline, "FIT_MAX_ITER", 1)
+    with pytest.raises(NotConverged, match="^attribute 0: no convergence in 1 "):
+        fit_one(x, y)

@@ -334,6 +334,24 @@ def test_gen_data_refuses_negative_n(tmp_path, capsys):
         assert not ws.exists()
 
 
+@pytest.mark.parametrize("flags", [("--seed", -1), ("--k", 0), ("--m", 8)],
+                         ids=["seed-negative", "k-0", "m-8"])
+def test_refused_gen_data_makes_no_workspace(tmp_path, flags):
+    ws = tmp_path / "new"
+    assert run("gen-data", "--workspace", ws, *flags) == cli.CONFIG_ERROR
+    assert not ws.exists()
+
+
+def test_evaluate_refuses_negative_seed_before_fitting(workspace, monkeypatch,
+                                                       capsys):
+    def no_fit(*args):
+        raise AssertionError("the baseline was fitted")
+
+    monkeypatch.setattr(baseline, "fit_all_directions", no_fit)
+    assert run("evaluate", "--workspace", workspace, "--seed", -1) == cli.CONFIG_ERROR
+    assert "config error: seed -1 is negative" in capsys.readouterr().err
+
+
 def test_evaluate_refuses_negative_n(workspace, tmp_path, capsys):
     ws = shutil.copytree(workspace, tmp_path / "ws")
     (ws / "report.json").unlink(missing_ok=True)

@@ -214,6 +214,31 @@ def test_linear_search_and_reference_agree(linear_setup, monkeypatch):
 
 
 @pytest.mark.parametrize("search", ["autoencoder", "linear"])
+def test_search_classifies_only_pending_rows(setup, linear_setup, search):
+    batches = []  # per classifier call: (rows, rows below the threshold)
+
+    def recording(w):
+        out = oracle.classify(world, w)
+        batches.append((len(w), int((out[:, 0] < 0.9).sum())))
+        return out
+
+    if search == "autoencoder":
+        world, pipe, _ = setup
+        run = lambda w: editor.search_positive(pipe, w, 0, recording)
+    else:
+        world, lin = linear_setup
+        run = lambda w: lin.search_positive(w, 0, recording)
+    samples = oracle.sample_w(world, 256, 28)
+    negatives = samples[oracle.classify(world, samples)[:, 0] < 0.5]
+    _, success, _ = run(negatives)
+    assert batches[0][0] == len(negatives)
+    for (_, pending), (size, _) in zip(batches, batches[1:]):
+        assert size == pending
+    assert batches[-1][0] < len(negatives)
+    assert batches[-1][1] == (~success).sum()
+
+
+@pytest.mark.parametrize("search", ["autoencoder", "linear"])
 def test_search_rejects_non_finite_classifier_output(setup, linear_setup, search):
     def nan_for_last_row(w):
         out = oracle.classify(world, w)
