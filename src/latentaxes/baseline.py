@@ -31,6 +31,7 @@ FIT_TOL = 1e-12     # converged once a step moves no coefficient by this much
 FIT_MAX_ITER = 50   # Newton steps before NotConverged, per phase: the desk
                     # data takes 9 on the warm-start rows, then 5 on all
 WARM_ROWS = 2048    # rows of the warm-start fit
+BLOCK_ROWS = 1024   # rows per block of the n-by-m temporaries
 
 
 def _fit(x, y, to_raw, xs32, theta):
@@ -52,8 +53,13 @@ def _fit(x, y, to_raw, xs32, theta):
         sr = np.stack([s, p - y])  # IRLS weights and residuals
         # the Hessian's bias row and the gradient, mapped from (v, c) to (w, b)
         hess_b, grad = np.column_stack([sr @ x, sr.sum(axis=1)]) @ to_raw
-        u = xs32 * np.sqrt(s).astype(np.float32)[:, None]
-        hess[:m, :m] = u.T @ u  # numpy forms u.T @ u by a symmetric rank-k update
+        # summed over row blocks of u = xs32 * sqrt(s), so that no n-by-m u
+        # is made; numpy forms each u.T @ u by a symmetric rank-k update
+        hess[:m, :m] = 0.0
+        for i in range(0, n, BLOCK_ROWS):
+            b = slice(i, i + BLOCK_ROWS)
+            u = xs32[b] * np.sqrt(s[b]).astype(np.float32)[:, None]
+            hess[:m, :m] += u.T @ u
         hess[m] = hess[:, m] = hess_b
         step = -np.linalg.solve(hess + np.diag(ridge), grad / n + ridge * theta)
         while True:
@@ -121,9 +127,12 @@ def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEdit
     gradient and the line search are float64, so the fixed point is the
     float64 optimum; the Hessian's feature block is a float32 product of the
     standardized latents (raw ones lose the optimum to cancellation), shared
-    by every attribute. A constant column (sigma 0) gets sigma 1 and a zero
-    weight. Bad shapes and non-finite latents are refused before any fit; a
-    fit error is raised again, of the same type, naming the attribute.
+    by every attribute. sigma and that product are summed over BLOCK_ROWS-row
+    blocks, so no n-by-m temporary is made beside the shared design. The
+    fit changes nothing outside its own arrays, so it may run on a thread of
+    its own. A constant column (sigma 0) gets sigma 1 and a zero weight. Bad
+    shapes and non-finite latents are refused before any fit; a fit error is
+    raised again, of the same type, naming the attribute.
     """
     x = np.asarray(latents, dtype=np.float64)
     raw_attrs = np.asarray(raw_attrs, dtype=np.float64)
@@ -132,17 +141,19 @@ def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEdit
                                 f"{raw_attrs.shape} must be (n, m) and (n, K)")
     check_finite_rows("latents", x)
     # shared by every fit: (v, c) = to_raw @ (w, b), and xs32, the standardized
-    # x in float32, filled in row blocks so that no n-by-m float64 is made
+    # x in float32; sigma and xs32 come from row blocks, so that no n-by-m
+    # float64 is made
     n, m = x.shape
+    blocks = [slice(i, i + BLOCK_ROWS) for i in range(0, n, BLOCK_ROWS)]
     mu = x.mean(axis=0)
-    sigma = x.std(axis=0)
+    sigma = np.sqrt(sum(((x[b] - mu) ** 2).sum(axis=0) for b in blocks) / n)
     sigma[sigma == 0] = 1.0
     to_raw = np.eye(m + 1)
     to_raw[:m, :m] /= sigma
     to_raw[m, :m] = -mu / sigma
     xs32 = np.empty((n, m), dtype=np.float32)
-    for i in range(0, n, 4096):
-        xs32[i:i + 4096] = (x[i:i + 4096] - mu) / sigma
+    for b in blocks:
+        xs32[b] = (x[b] - mu) / sigma
     units, biases = np.empty((raw_attrs.shape[1], m)), np.empty(raw_attrs.shape[1])
     for k, col in enumerate(raw_attrs.T):
         labels = np.where(np.isfinite(col), col >= 0.5, np.nan)

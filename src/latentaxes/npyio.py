@@ -34,7 +34,8 @@ _MALFORMED_HEADER = (ValueError, TypeError, IndexError, SyntaxError,
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a 2-D float .npy file, promoting values to float64."""
+    """Read a 2-D float .npy file, promoting values to float64; a <f8
+    payload is read straight into the result."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise BadMagic(f"{path}: not a .npy file")
@@ -60,8 +61,12 @@ def read_matrix(path) -> np.ndarray:
         if available < expected:
             raise TruncatedFile(
                 f"{path}: payload has {available} bytes, expected {expected}")
-        data = np.frombuffer(fh.read(expected), dtype=dtype).reshape(shape)
-    return data.astype(np.float64, copy=True)
+        # read into the array itself: a <f8 payload is already the float64
+        # result, so no second copy of it is made
+        data = np.empty(shape, dtype=dtype)
+        if fh.readinto(data) != expected:
+            raise TruncatedFile(f"{path}: payload shorter than {expected} bytes")
+    return data.astype(np.float64, copy=False)
 
 
 def write_matrix(matrix: np.ndarray, path) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize, root
@@ -241,6 +243,20 @@ def test_desk_fit_takes_newton_steps(monkeypatch):
         assert block + full == len(steps)
         assert 1 <= block <= 10, f"attribute {k}: {block} block steps"
         assert full <= 5, f"attribute {k}: {full} full-data steps"
+
+
+def test_desk_fit_peak_memory():
+    # the shared float32 design is 2.4 MiB; an n-by-m float64 temporary
+    # (5 MiB), or an n-by-m float32 u per Newton step, would exceed the bound
+    world = oracle.make_world(32, 5, 8, correlated=True, seed=7)
+    latents, attrs = oracle.build_dataset(world, 20000, seed=8)
+    tracemalloc.start()
+    try:
+        baseline.fit_all_directions(latents, attrs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def warm_start_case(one_class_block=False):

@@ -1,12 +1,14 @@
+import functools
 import json
 import shutil
+import threading
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from latentaxes import baseline, cli, npyio, training
-from latentaxes.errors import ConfigInvalid
+from latentaxes import baseline, cli, editor, evaluation, npyio, oracle, training
+from latentaxes.errors import ConfigInvalid, SingleClass
 
 
 def run(*argv):
@@ -203,6 +205,86 @@ def test_evaluate_names_the_attribute_the_baseline_cannot_fit(
     break_fit(ws, monkeypatch)
     assert run("evaluate", "--workspace", ws, "--n", 64) == code
     assert named in capsys.readouterr().err
+
+
+def test_evaluate_report_equals_the_serially_built_report(workspace, tmp_path):
+    # evaluate fits the baseline on a worker while it scores the autoencoder;
+    # the report must be the one built from the same pieces in one thread
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    argv = ["evaluate", "--workspace", ws, "--n", 128, "--seed", 3]
+    assert run(*argv) == 0
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    world, pipeline = oracle.load_world(ws), cli._load_pipeline(ws)
+    linear = baseline.fit_all_directions(
+        *npyio.load_dataset(ws / "latents.npy", ws / "attrs.npy"))
+    searches = {"autoencoder": functools.partial(editor.search_positive,
+                                                 pipeline),
+                "linear": linear.search_positive}
+    methods = {name: evaluation.score_method(
+        search, lambda w: oracle.classify(world, w),
+        lambda w: oracle.embed_identity(world, w),
+        lambda n, seed: oracle.sample_w(world, n, seed), world.n_attributes,
+        args.n, args.threshold, args.seed) for name, search in searches.items()}
+    report = evaluation.make_report(
+        config={k: v for k, v in vars(args).items()
+                if isinstance(v, (str, int, float, bool, type(None)))},
+        seeds={"evaluate": args.seed, "world": world.seed},
+        amplitude_grid=editor.DEFAULT_AMPLITUDE_QUANTILES,
+        threshold=args.threshold, methods=methods)
+    assert (ws / "report.json").read_text() == json.dumps(report, indent=2)
+
+
+def test_evaluate_raises_a_fit_error_before_a_search_error(
+        workspace, capsys, monkeypatch):
+    # the fit fails only after the autoencoder search has failed: its error
+    # still wins, as when the fit ran first
+    searched, waits = threading.Event(), []
+
+    def search_fails(*args):
+        searched.set()
+        raise editor.OracleFailure("the search failed")
+
+    def fit_fails(*args):
+        waits.append(searched.wait(timeout=10))
+        raise SingleClass("attribute 1: both classes must be present")
+
+    monkeypatch.setattr(editor, "search_positive", search_fails)
+    monkeypatch.setattr(baseline, "fit_all_directions", fit_fails)
+    threads = threading.active_count()
+    assert run("evaluate", "--workspace", workspace, "--n", 64) == cli.DATA_ERROR
+    err = capsys.readouterr().err
+    assert "data error: attribute 1: both classes must be present" in err
+    assert "the search failed" not in err
+    assert waits == [True]  # the fit failed after the search
+    assert threading.active_count() == threads
+
+
+def test_evaluate_raises_a_search_error_after_the_fit_ends(
+        workspace, tmp_path, capsys, monkeypatch):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    searched, fitted = threading.Event(), threading.Event()
+    fit = baseline.fit_all_directions
+
+    def search_fails(*args):
+        searched.set()
+        raise editor.OracleFailure("the search failed")
+
+    def slow_fit(*args):  # ends only after the search has failed
+        assert searched.wait(timeout=10)
+        linear = fit(*args)
+        fitted.set()
+        return linear
+
+    monkeypatch.setattr(editor, "search_positive", search_fails)
+    monkeypatch.setattr(baseline, "fit_all_directions", slow_fit)
+    threads = threading.active_count()
+    assert run("evaluate", "--workspace", ws, "--n", 64) == cli.DATA_ERROR
+    assert fitted.is_set()  # the worker was joined before the error came out
+    assert "data error: the search failed" in capsys.readouterr().err
+    assert threading.active_count() == threads
+    monkeypatch.undo()
+    assert run("evaluate", "--workspace", ws, "--n", 64) == 0
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("gen_flags, message", [

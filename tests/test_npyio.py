@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,22 @@ def test_round_trip_exact(tmp_path):
     back = npyio.read_matrix(path)
     assert back.dtype == np.float64
     np.testing.assert_array_equal(back, m)
+
+
+def test_float64_read_holds_one_copy_of_the_payload(tmp_path):
+    # the desk latents' size: a read through an intermediate bytes object
+    # peaks at twice the payload
+    m = np.random.default_rng(1).normal(size=(20000, 32))
+    path = tmp_path / "m.npy"
+    npyio.write_matrix(m, path)
+    tracemalloc.start()
+    try:
+        back = npyio.read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * m.nbytes
+    assert back.tobytes() == m.tobytes() and back.flags.writeable
 
 
 def npy_bytes(header: bytes, payload: bytes) -> bytes:
