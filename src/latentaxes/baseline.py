@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .editor import first_hit
 from .errors import DimensionMismatch, LatentAxesError, NotConverged, SingleClass
@@ -32,6 +31,13 @@ FIT_MAX_ITER = 50   # Newton steps before NotConverged, per phase: the desk
                     # data takes 9 on the warm-start rows, then 5 on all
 WARM_ROWS = 2048    # rows of the warm-start fit
 BLOCK_ROWS = 1024   # rows per block of the n-by-m temporaries
+
+
+def expit(z):
+    """The logistic function 1 / (1 + exp(-z)), as exp(z) / (1 + exp(z))
+    for negative z, so that no exp overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _fit(x, y, to_raw, xs32, theta):

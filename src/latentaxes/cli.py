@@ -228,10 +228,12 @@ def cmd_evaluate(args) -> int:
     out.write_text(json.dumps(report, indent=2))
     print(f"wrote {out}")
     for name, block in methods.items():
+        rates = np.array(block["well_edited_rates"])
+        rate = ("n/a" if np.isnan(rates).all()  # no attribute had a negative
+                else f"{np.nanmean(rates):.3f}")
         off = ("n/a" if 0 in block["n_success"]  # unknown, not zero
                else f"{block['off_diagonal_sum']:.3f}")
-        print(f"  {name}: mean rate {np.nanmean(block['well_edited_rates']):.3f}, "
-              f"off-diagonal sum {off}")
+        print(f"  {name}: mean rate {rate}, off-diagonal sum {off}")
     return 0
 
 

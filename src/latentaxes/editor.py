@@ -90,11 +90,12 @@ def search_positive(pipeline: EditPipeline, latents: np.ndarray, k: int,
     Returns (edited (n, m), success (n,), achieved (n,))."""
     latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
     code = encode(pipeline, latents)
+    targets = inv_norm_cdf(quantile_grid)
 
     def candidate(i, rows):
         sub = EditableCode(code.attr_slots[rows], code.free_slots[rows],
                            code.residual[rows])
-        return decode(pipeline, set_attribute(sub, k, inv_norm_cdf(quantile_grid[i])))
+        return decode(pipeline, set_attribute(sub, k, targets[i]))
 
     return first_hit(latents, k, classify_fn, threshold, len(quantile_grid),
                      candidate)

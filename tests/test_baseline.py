@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,20 @@ def reference_optimum(x, y):
     assert np.abs(fun(res.x)[1]).max() <= 1e-12
     unit = res.x[:m] / sigma
     return unit / np.linalg.norm(unit), res.x[m]
+
+
+def test_expit_matches_scipy():
+    z = np.linspace(-800.0, 800.0, 400_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = baseline.expit(z)
+        assert baseline.expit(np.array([-1e308, 1e308])).tolist() == [0.0, 1.0]
+    ref = expit(z)
+    # scipy's 1 / (1 + exp(-z)) is 0 once exp(-z) overflows, below
+    # z = -709.8; there the logistic is exp(z), subnormal or 0
+    nonzero = ref > 0.0
+    assert (np.abs(got - ref)[nonzero] <= 4 * np.spacing(ref[nonzero])).all()
+    assert (got[~nonzero] < np.finfo(np.float64).tiny).all()
 
 
 def test_separable_toy_direction():

@@ -2,6 +2,7 @@ import functools
 import json
 import shutil
 import threading
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -166,6 +167,24 @@ def test_evaluate_reports_attributes_without_success(workspace, tmp_path,
                                        zip(ae["n_success"], ae["n_negatives"])]
     assert "autoencoder: mean rate 0.000, off-diagonal sum n/a" in \
         capsys.readouterr().out
+
+
+def test_evaluate_prints_n_a_when_no_attribute_has_a_negative(tmp_path, capsys):
+    # on 600 correlated rows and one latent per attribute, every attribute's
+    # sample is positive: each rate is undefined
+    ws = tmp_path / "ws"
+    assert run("gen-data", "--workspace", ws, "--n", 600, "--correlated",
+               "--seed", 7) == 0
+    assert run("fit", "--workspace", ws, "--d", 16) == 0
+    assert run("train", "--workspace", ws, "--epochs", 1, "--hidden-size", 16,
+               "--n-layers", 2) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("evaluate", "--workspace", ws, "--n", 1, "--seed", 7) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out = capsys.readouterr().out
+    for name in ("autoencoder", "linear"):
+        assert f"{name}: mean rate n/a, off-diagonal sum n/a" in out
 
 
 @pytest.mark.parametrize("corrupt, code, named", [

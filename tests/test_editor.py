@@ -180,14 +180,21 @@ def test_amplitude_search_rejects_positive_sample(setup):
         amplitude_search(ae_edit_at(pipe, 0), w, 0, classify)
 
 
-def test_amplitude_search_and_batch_agree(setup):
+def test_amplitude_search_and_batch_agree(setup, monkeypatch):
     world, pipe, latents = setup
     classify = lambda w: oracle.classify(world, w)
     samples = oracle.sample_w(world, 128, 25)
     negatives = samples[classify(samples)[:, 0] < 0.5][:20]
+    # the search converts its whole grid at once; the reference, one
+    # quantile at a time
+    calls = []
+    monkeypatch.setattr(editor, "inv_norm_cdf",
+                        lambda q: calls.append(q) or gaussianize.inv_norm_cdf(q))
+    out = editor.search_positive(pipe, negatives, 0, classify)
+    assert calls == [editor.DEFAULT_AMPLITUDE_QUANTILES]
     assert_rows_match_reference(
-        editor.search_positive(pipe, negatives, 0, classify), negatives,
-        ae_edit_at(pipe, 0), 0, classify, 0.9, editor.DEFAULT_AMPLITUDE_QUANTILES)
+        out, negatives, ae_edit_at(pipe, 0), 0, classify, 0.9,
+        editor.DEFAULT_AMPLITUDE_QUANTILES)
 
 
 @pytest.fixture(scope="module")

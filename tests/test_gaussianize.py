@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from latentaxes import gaussianize as gz
+from latentaxes import oracle
 from latentaxes.errors import OutOfDomain, TooFewSamples
 
 
@@ -54,6 +56,57 @@ class TestInvNormCdf:
         out = gz.inv_norm_cdf(p)
         assert out.shape == (3,)
         assert out[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def reference_points():
+    """Over 10^6 probabilities: uniform on (0, 1), log-uniform in both tails
+    (down to 1e-300 below, to the spacing of 1 above), dense around the
+    branch points exp(-2), 1 - exp(-2) and exp(-32), and the midrank
+    probabilities of the acceptance suite's desk attributes."""
+    rng = np.random.default_rng(0)
+    tails = 10.0 ** -rng.uniform(0.0, 300.0, 300_000)
+    branches = np.exp(-np.array([2.0, 2.0, 32.0]))[:, None] * (
+        1.0 + rng.uniform(-1e-3, 1e-3, (3, 50_000)))
+    branches[1] = 1.0 - branches[1]
+    world = oracle.make_world(32, 5, 8, correlated=True, seed=7)
+    _, attrs = oracle.build_dataset(world, 20000, seed=8)
+    t = gz.fit_transform(attrs)
+    desk = [gz._midrank_probs(t.tables[k], attrs[:, k]) for k in range(5)]
+    p = np.concatenate([rng.random(400_000), tails,
+                        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 300_000),
+                        branches.ravel(), *desk])
+    return p[(p > 0.0) & (p < 1.0)]
+
+
+def test_inv_norm_cdf_matches_scipy_ndtri():
+    p = reference_points()
+    assert p.size >= 10**6
+    ref = ndtri(p)
+    # the tails take np.log where Cephes takes libm's log; the two differ by
+    # an ulp on a few inputs in a thousand, and near the branch point one
+    # ulp of r = sqrt(-2 log y), in [2, 4), is two ulps of the quantile, in
+    # [1, 2): up to 4 ulps after the rounding of the final sums
+    assert (np.abs(gz.inv_norm_cdf(p) - ref) <= 4 * np.spacing(np.abs(ref))).all()
+
+
+def test_norm_cdf_matches_scipy_ndtr():
+    x = np.linspace(-8.0, 8.0, 200_001)
+    # erfc's argument -x / sqrt(2) is rounded: 1.3e-14 relative at x = -8
+    np.testing.assert_allclose(gz.norm_cdf(x), ndtr(x), rtol=2e-14, atol=0.0)
+
+
+def test_midrank_probs_equal_unsorted_searches():
+    # the reference: both searches on the values in their own order
+    rng = np.random.default_rng(4)
+    table = np.sort(rng.integers(0, 50, 400) / 50.0)  # ties
+    values = np.concatenate([rng.permutation(table), rng.uniform(-0.5, 1.5, 300),
+                             [np.nan, 0.5, 0.5]])
+    below = np.searchsorted(table, values, side="left")
+    upto = np.searchsorted(table, values, side="right")
+    n = table.size
+    ref = np.clip((below + (upto - below + 1) / 2.0) / (n + 1),
+                  1.0 / (2.0 * n), 1.0 - 1.0 / (2.0 * n))
+    np.testing.assert_array_equal(gz._midrank_probs(table, values), ref)
 
 
 class TestTransform:
