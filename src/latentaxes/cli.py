@@ -27,9 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, editor, evaluation, gaussianize, oracle, pca, training
-from .errors import ConfigInvalid, DimensionMismatch, LatentAxesError, NonFinite, NonPSD
-from .npyio import (check_type, load_dataset, read_json_object, read_matrix,
-                    write_matrix)
+from .errors import (ConfigInvalid, DimensionMismatch, LatentAxesError, NonFinite,
+                     NonPSD, OutOfDomain)
+from .npyio import (check_finite_rows, check_type, load_dataset, read_json_object,
+                    read_matrix, write_matrix)
 
 CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 # the `train` options: TrainConfig fields, with its defaults and types
@@ -111,7 +112,10 @@ def cmd_fit(args) -> int:
     latents, attrs = load_dataset(ws / "latents.npy", ws / "attrs.npy")
     if not 1 <= args.d <= latents.shape[1]:
         raise ConfigInvalid(f"d={args.d} is not in [1, {latents.shape[1]}]")
-    model = pca.fit_pca(latents, args.d)
+    try:
+        model = pca.fit_pca(latents, args.d)
+    except NonFinite as exc:
+        raise NonFinite(f"{ws / 'latents.npy'}: {exc}") from exc
     pca.save_pca(model, ws)
     transform = gaussianize.fit_transform(attrs)
     gaussianize.save_transform(transform, ws)
@@ -162,11 +166,12 @@ def cmd_edit(args) -> int:
     k = args.attribute
     if not 0 <= k < pipeline.model.n_attributes:
         raise ConfigInvalid(f"attribute {k} out of range")
+    check_finite_rows(args.latents, latents)
     target = args.target
     if args.raw:
         try:
             target = editor.raw_to_slot(pipeline, k, args.target)
-        except ValueError as exc:
+        except OutOfDomain as exc:
             raise ConfigInvalid(f"--target: {exc}") from exc
     edited = editor.edit(pipeline, latents, k, target)
     out = args.out or str(ws / "edited.npy")
@@ -310,7 +315,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    except (NonFinite, NonPSD, FloatingPointError) as exc:
+    except (NonFinite, NonPSD) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     except (LatentAxesError, OSError) as exc:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, LatentAxesError
+from .errors import DimensionMismatch, OracleFailure, OutOfDomain
 from .gaussianize import AttributeTransform, gaussianize_value, inv_norm_cdf
 from .mlp import mlp_forward
 from .pca import PcaModel, PcaSplit, project, reconstruct
@@ -20,10 +20,6 @@ from .training import EncoderDecoder
 DEFAULT_AMPLITUDE_QUANTILES = (
     0.55, 0.65, 0.75, 0.85, 0.95, 0.975, 0.99, 0.995, 0.999, 0.9995,
 )
-
-
-class OracleFailure(LatentAxesError):
-    """Classifier output unusable during the amplitude search."""
 
 
 @dataclass(frozen=True)
@@ -70,9 +66,10 @@ def set_attribute(code: EditableCode, k: int, value: float) -> EditableCode:
 
 
 def raw_to_slot(pipeline: EditPipeline, k: int, raw_value: float) -> float:
-    """Slot value (gaussianized scale) of a raw attribute-k value in [0, 1]."""
+    """Slot value (gaussianized scale) of a raw attribute-k value in [0, 1];
+    another value (NaN too) is OutOfDomain."""
     if not 0.0 <= raw_value <= 1.0:
-        raise ValueError(f"raw attribute value {raw_value} outside [0, 1]")
+        raise OutOfDomain(f"raw attribute value {raw_value} outside [0, 1]")
     return gaussianize_value(pipeline.transform, k, raw_value)
 
 

@@ -1,36 +1,16 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Every exception class of the toolkit."""
 
 
 class LatentAxesError(Exception):
     """Base class for all toolkit errors."""
 
 
-class BadMagic(LatentAxesError):
-    """File does not start with the .npy magic string."""
-
-
-class UnsupportedDtype(LatentAxesError):
-    """Array dtype is not little-endian float32/float64."""
-
-
-class UnsupportedRank(LatentAxesError):
-    """Array is not 2-D."""
-
-
-class TruncatedFile(LatentAxesError):
-    """File ends before the declared payload is complete."""
-
-
-class RowCountMismatch(LatentAxesError):
-    """Latent and attribute matrices disagree on the number of rows."""
+class BadNpyFile(LatentAxesError):
+    """File is not a readable 2-D little-endian float .npy v1.0 matrix."""
 
 
 class DimensionMismatch(LatentAxesError):
-    """Operand shapes are inconsistent."""
-
-
-class DegenerateData(LatentAxesError):
-    """Not enough samples to estimate the requested statistics."""
+    """Operand or file shapes are inconsistent."""
 
 
 class NonFinite(LatentAxesError):
@@ -43,10 +23,6 @@ class TooFewSamples(LatentAxesError):
 
 class OutOfDomain(LatentAxesError):
     """Argument outside the mathematical domain of the function."""
-
-
-class BatchTooSmall(LatentAxesError):
-    """Batch statistics need at least two samples."""
 
 
 class SingleClass(LatentAxesError):
@@ -63,3 +39,11 @@ class ConfigInvalid(LatentAxesError):
 
 class NonPSD(LatentAxesError):
     """Covariance product has negative eigenvalues beyond tolerance."""
+
+
+class OracleFailure(LatentAxesError):
+    """Classifier output unusable during the amplitude search."""
+
+
+class AllZeroEmbeddings(LatentAxesError):
+    """Every embedding pair had a zero-norm member."""

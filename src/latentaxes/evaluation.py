@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LatentAxesError, NonPSD, TooFewSamples
-
-
-class AllZeroEmbeddings(LatentAxesError):
-    """Every embedding pair had a zero-norm member."""
+from .errors import AllZeroEmbeddings, NonPSD, TooFewSamples
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """`.npy` v1.0 reader/writer for dense 2-D float matrices, through
-`numpy.lib.format`, with typed errors, and the checked reader of the JSON
-metadata files that sit beside them in a workspace.
+`numpy.lib.format`, the checks of what is read, and the checked reader of
+the JSON metadata files that sit beside them in a workspace.
 
 Only the subset needed for latent/attribute interchange is supported:
-version 1.0, little-endian float32/float64, C-order, rank 2. Everything
-else is rejected with a specific error so malformed dumps fail loudly.
+version 1.0, little-endian float32/float64, C-order, rank 2. Anything else
+is a BadNpyFile naming the file, so malformed dumps fail loudly.
 """
 
 import json
@@ -15,15 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .errors import (
-    BadMagic,
-    ConfigInvalid,
-    NonFinite,
-    RowCountMismatch,
-    TruncatedFile,
-    UnsupportedDtype,
-    UnsupportedRank,
-)
+from .errors import BadNpyFile, ConfigInvalid, DimensionMismatch, NonFinite
 
 MAGIC = b"\x93NUMPY"
 
@@ -38,34 +30,34 @@ def read_matrix(path) -> np.ndarray:
     payload is read straight into the result."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
-            raise BadMagic(f"{path}: not a .npy file")
+            raise BadNpyFile(f"{path}: not a .npy file")
         fh.seek(0)
         try:
             version = npy_format.read_magic(fh)
             if version != (1, 0):
-                raise UnsupportedDtype(f"{path}: unsupported .npy version "
-                                       f"{version[0]}.{version[1]}")
+                raise BadNpyFile(f"{path}: unsupported .npy version "
+                                 f"{version[0]}.{version[1]}")
             shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
         except _MALFORMED_HEADER as exc:
-            raise TruncatedFile(f"{path}: malformed header: {exc}") from exc
+            raise BadNpyFile(f"{path}: malformed header: {exc}") from exc
         if dtype.str not in ("<f4", "<f8"):
-            raise UnsupportedDtype(f"{path}: dtype {dtype.str!r} not supported")
+            raise BadNpyFile(f"{path}: dtype {dtype.str!r} not supported")
         if len(shape) != 2:
-            raise UnsupportedRank(f"{path}: expected 2-D array, got shape {shape}")
+            raise BadNpyFile(f"{path}: expected 2-D array, got shape {shape}")
         if fortran_order:
-            raise UnsupportedDtype(f"{path}: fortran_order arrays not supported")
+            raise BadNpyFile(f"{path}: fortran_order arrays not supported")
         if not all(type(n) is int and n >= 0 for n in shape):
-            raise TruncatedFile(f"{path}: invalid shape {shape}")
+            raise BadNpyFile(f"{path}: invalid shape {shape}")
         expected = shape[0] * shape[1] * dtype.itemsize
         available = os.fstat(fh.fileno()).st_size - fh.tell()
         if available < expected:
-            raise TruncatedFile(
+            raise BadNpyFile(
                 f"{path}: payload has {available} bytes, expected {expected}")
         # read into the array itself: a <f8 payload is already the float64
         # result, so no second copy of it is made
         data = np.empty(shape, dtype=dtype)
         if fh.readinto(data) != expected:
-            raise TruncatedFile(f"{path}: payload shorter than {expected} bytes")
+            raise BadNpyFile(f"{path}: payload shorter than {expected} bytes")
     return data.astype(np.float64, copy=False)
 
 
@@ -73,7 +65,7 @@ def write_matrix(matrix: np.ndarray, path) -> None:
     """Write a 2-D matrix as .npy v1.0, dtype <f8, C-order."""
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     if m.ndim != 2:
-        raise UnsupportedRank(f"expected 2-D matrix, got ndim={m.ndim}")
+        raise DimensionMismatch(f"expected 2-D matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise NonFinite("matrix contains NaN or infinity")
     with open(path, "wb") as fh:
@@ -85,10 +77,21 @@ def load_dataset(latent_path, attr_path):
     latents = read_matrix(latent_path)
     attrs = read_matrix(attr_path)
     if latents.shape[0] != attrs.shape[0]:
-        raise RowCountMismatch(
-            f"{latents.shape[0]} latents vs {attrs.shape[0]} attribute rows"
-        )
+        raise DimensionMismatch(f"{latents.shape[0]} latents vs "
+                                f"{attrs.shape[0]} attribute rows")
     return latents, attrs
+
+
+def check_shape(path, array: np.ndarray, shape: tuple, source: str) -> np.ndarray:
+    """``array``, read from ``path``, if its shape is ``shape``, where None
+    matches any length; otherwise a DimensionMismatch naming the file and
+    ``source``, what gives the shape."""
+    if len(shape) != array.ndim or any(
+            want not in (None, have) for have, want in zip(array.shape, shape)):
+        want = ", ".join("any" if n is None else str(n) for n in shape)
+        raise DimensionMismatch(f"{path}: shape {array.shape}, but {source} "
+                                f"gives ({want})")
+    return array
 
 
 def check_finite_rows(name: str, arr: np.ndarray) -> None:

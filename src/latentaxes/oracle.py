@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch
-from .npyio import read_matrix, read_meta, write_matrix
+from .npyio import check_shape, read_matrix, read_meta, write_matrix
 
 GAIN = 2.0  # classifier logit scale: sigmoid(GAIN * mix * A * w)
 MAPPING_KINDS = ("linear", "tanh-mixed")
@@ -117,15 +117,26 @@ def save_world(world: SyntheticWorld, directory) -> None:
 
 
 def load_world(directory) -> SyntheticWorld:
+    """The world ``save_world`` wrote. The attribute directions (K x m) fix
+    the shapes of the mix (K x K), the identity basis (m x q) and the mixing
+    matrix (m x m); a file of another shape is a DimensionMismatch naming it."""
     directory = Path(directory)
     meta_path = directory / "world_meta.json"
     meta = read_meta(meta_path, {"mapping_kind": str, "seed": int})
     _check_mapping_kind(meta["mapping_kind"], f"{meta_path}: ")
+    directions = read_matrix(directory / "world_attr_directions.npy")
+    k, m = directions.shape
+
+    def matrix(name, shape):
+        path = directory / name
+        return check_shape(path, read_matrix(path), shape,
+                           "world_attr_directions.npy")
+
     return SyntheticWorld(
-        attr_directions=read_matrix(directory / "world_attr_directions.npy"),
-        mix=read_matrix(directory / "world_mix.npy"),
-        identity_basis=read_matrix(directory / "world_identity_basis.npy"),
-        mixing_matrix=read_matrix(directory / "world_mixing.npy"),
+        attr_directions=directions,
+        mix=matrix("world_mix.npy", (k, k)),
+        identity_basis=matrix("world_identity_basis.npy", (m, None)),
+        mixing_matrix=matrix("world_mixing.npy", (m, m)),
         mapping_kind=meta["mapping_kind"],
         seed=meta["seed"],
     )

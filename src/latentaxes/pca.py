@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigInvalid, DegenerateData, DimensionMismatch, NonFinite
-from .npyio import read_matrix, read_meta, write_matrix
+from .errors import ConfigInvalid, DimensionMismatch, TooFewSamples
+from .npyio import (check_finite_rows, check_shape, read_matrix, read_meta,
+                    write_matrix)
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,9 @@ def fit_pca(data: np.ndarray, split: int) -> PcaModel:
     if not (1 <= split <= m):
         raise DimensionMismatch(f"split {split} out of range for dim {m}")
     if n < 2:
-        raise DegenerateData("PCA needs at least 2 samples")
-    if not np.isfinite(data).all():
-        raise NonFinite("data contains NaN or infinity")
+        raise TooFewSamples("PCA needs at least 2 samples")
+    if not np.isfinite(data).all():  # the fast test; then find the row
+        check_finite_rows("data", data)
 
     mean = data.mean(axis=0)
     centered = data - mean
@@ -116,17 +117,21 @@ def save_pca(model: PcaModel, directory) -> None:
 
 
 def load_pca(directory) -> PcaModel:
-    """The model ``save_pca`` wrote; it refuses a ``d`` outside [1, m]."""
+    """The model ``save_pca`` wrote. It refuses a ``d`` outside [1, m], and
+    a basis or eigenvalue file whose shape is not the mean's m x m or 1 x m
+    (a DimensionMismatch naming the file)."""
     directory = Path(directory)
     meta_path = directory / "pca_meta.json"
     d = read_meta(meta_path, {"d": int})["d"]
-    mean = read_matrix(directory / "pca_mean.npy")[0]
-    if not 1 <= d <= mean.shape[0]:
-        raise ConfigInvalid(f"{meta_path}: d {d} is not in [1, "
-                            f"{mean.shape[0]}], the latent dim")
-    return PcaModel(
-        mean=mean,
-        basis=read_matrix(directory / "pca_basis.npy"),
-        eigenvalues=read_matrix(directory / "pca_eigenvalues.npy")[0],
-        split=d,
-    )
+
+    def matrix(name, shape, source="pca_mean.npy"):
+        path = directory / name
+        return check_shape(path, read_matrix(path), shape, source)
+
+    mean = matrix("pca_mean.npy", (1, None), "a mean row")[0]
+    m = mean.shape[0]
+    if not 1 <= d <= m:
+        raise ConfigInvalid(f"{meta_path}: d {d} is not in [1, {m}], the latent dim")
+    return PcaModel(mean=mean, basis=matrix("pca_basis.npy", (m, m)),
+                    eigenvalues=matrix("pca_eigenvalues.npy", (1, m))[0],
+                    split=d)

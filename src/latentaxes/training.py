@@ -23,12 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BatchTooSmall,
-    ConfigInvalid,
-    DimensionMismatch,
-    NonFinite,
-)
+from .errors import ConfigInvalid, DimensionMismatch, NonFinite, TooFewSamples
 from .mlp import (
     MlpParams,
     adam_init,
@@ -37,8 +32,8 @@ from .mlp import (
     mlp_backward,
     mlp_forward,
 )
-from .npyio import (check_finite_rows, check_keys, read_matrix, read_meta,
-                    write_matrix)
+from .npyio import (check_finite_rows, check_keys, check_shape, read_matrix,
+                    read_meta, write_matrix)
 
 STEP_DTYPE = np.float32  # of each training step's forward and backward
 VAR_EPS = 1e-8  # variance guard in the correlation denominator
@@ -94,7 +89,7 @@ def _corr_parts(codes_first_k: np.ndarray):
     y = np.asarray(codes_first_k, dtype=np.float64)
     b = y.shape[0]
     if b < 2:
-        raise BatchTooSmall("correlation needs at least 2 samples")
+        raise TooFewSamples("correlation needs at least 2 samples")
     z = y - y.mean(axis=0)
     cov = z.T @ z / b
     var = np.diag(cov) + VAR_EPS
@@ -134,14 +129,15 @@ def corr_loss_and_grad(codes_first_k: np.ndarray, gamma_ref: np.ndarray):
 
 def total_loss(w, w_hat, codes, attrs, cfg: TrainConfig, gamma_ref=None):
     """Weighted sum of the three components; the correlation term is dropped
-    entirely in variant A. Returns (total, components dict)."""
+    entirely in variant A and, as in ``backward``, when beta is 0 (its
+    component is then 0). Returns (total, components dict)."""
     comps = {
         "recons": loss_recons(w, w_hat),
         "attr": loss_attr(codes, attrs),
         "corr": 0.0,
     }
     total = comps["recons"] + cfg.alpha * comps["attr"]
-    if cfg.corr_mode != CORR_NONE:
+    if cfg.corr_mode != CORR_NONE and cfg.beta != 0.0:
         if gamma_ref is None:
             raise ConfigInvalid("corr_mode set but no reference matrix given")
         comps["corr"] = loss_corr(batch_corr(codes[:, : attrs.shape[1]]), gamma_ref)
@@ -338,11 +334,7 @@ def load_model(directory):
 
     def matrix(name, shape):
         path = directory / f"{name}.npy"
-        arr = read_matrix(path)
-        if arr.shape != shape:
-            raise DimensionMismatch(f"{path}: shape {arr.shape}, but "
-                                    f"{meta_path.name} gives {shape}")
-        return arr
+        return check_shape(path, read_matrix(path), shape, meta_path.name)
 
     sizes = layer_sizes(code_size, cfg)
     shapes = list(zip(sizes[:-1], sizes[1:]))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from latentaxes import baseline, cli, editor, evaluation, npyio, oracle, training
-from latentaxes.errors import ConfigInvalid, SingleClass
+from latentaxes.errors import ConfigInvalid, NonPSD, OracleFailure, SingleClass
 
 
 def run(*argv):
@@ -111,6 +111,46 @@ def test_edit_roundtrip(workspace, tmp_path):
         assert not bad.exists()
 
 
+def test_fit_names_the_file_and_row_of_a_non_finite_latent(workspace, tmp_path,
+                                                           capsys):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    latents = npyio.read_matrix(ws / "latents.npy")
+    latents[123, 4] = np.nan
+    np.save(ws / "latents.npy", latents)  # write_matrix would refuse a NaN
+    assert run("fit", "--workspace", ws, "--d", 8) == cli.NUMERIC_ERROR
+    assert (f"numeric failure: {ws / 'latents.npy'}: data row 123 is not finite"
+            in capsys.readouterr().err)
+
+
+def test_edit_refuses_a_non_finite_latent_row(workspace, tmp_path, capsys):
+    latents = npyio.read_matrix(workspace / "latents.npy")[:4]
+    latents[2, 0] = np.inf
+    src, out = tmp_path / "batch.npy", tmp_path / "edited.npy"
+    np.save(src, latents)
+    assert run("edit", "--workspace", workspace, "--latents", src,
+               "--attribute", 1, "--target", "1.2", "--out", out) == cli.NUMERIC_ERROR
+    assert (f"numeric failure: {src} row 2 is not finite"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_evaluate_non_psd_frechet_is_a_numeric_failure(workspace, tmp_path,
+                                                        capsys, monkeypatch):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    calls = []
+
+    def non_psd(a, b):
+        calls.append(a.shape)
+        raise NonPSD("covariance product has significantly negative eigenvalues")
+
+    monkeypatch.setattr(evaluation, "frechet_distance", non_psd)
+    assert run("evaluate", "--workspace", ws, "--n", 128) == cli.NUMERIC_ERROR
+    assert calls
+    assert ("numeric failure: covariance product has significantly negative "
+            "eigenvalues" in capsys.readouterr().err)
+    assert not (ws / "report.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("fit",), ("edit", "--latents", "in.npy", "--attribute", 0, "--target", 1)],
     ids=["fit", "edit"])
@@ -195,7 +235,19 @@ def test_evaluate_prints_n_a_when_no_attribute_has_a_negative(tmp_path, capsys):
      cli.CONFIG_ERROR, "world_meta.json"),
     (lambda ws: shutil.copy(ws / "enc_w0.npy", ws / "enc_w1.npy"),
      cli.DATA_ERROR, "enc_w1.npy"),
-], ids=["model-meta-not-json", "unknown-mapping-kind", "weights-do-not-chain"])
+    (lambda ws: npyio.write_matrix(np.eye(8), ws / "pca_basis.npy"),
+     cli.DATA_ERROR, "pca_basis.npy: shape (8, 8), but pca_mean.npy gives (16, 16)"),
+    (lambda ws: npyio.write_matrix(np.ones((1, 5)), ws / "pca_eigenvalues.npy"),
+     cli.DATA_ERROR, "pca_eigenvalues.npy: shape (1, 5), but pca_mean.npy gives "
+     "(1, 16)"),
+    (lambda ws: npyio.write_matrix(np.eye(2), ws / "world_mix.npy"),
+     cli.DATA_ERROR, "world_mix.npy: shape (2, 2), but world_attr_directions.npy "
+     "gives (3, 3)"),
+    (lambda ws: npyio.write_matrix(np.ones((10, 8)), ws / "world_identity_basis.npy"),
+     cli.DATA_ERROR, "world_identity_basis.npy: shape (10, 8), but "
+     "world_attr_directions.npy gives (16, any)"),
+], ids=["model-meta-not-json", "unknown-mapping-kind", "weights-do-not-chain",
+        "pca-basis", "pca-eigenvalues", "world-mix", "world-identity-basis"])
 def test_evaluate_names_the_corrupt_workspace_file(workspace, tmp_path, capsys,
                                                    corrupt, code, named):
     ws = shutil.copytree(workspace, tmp_path / "ws")
@@ -261,7 +313,7 @@ def test_evaluate_raises_a_fit_error_before_a_search_error(
 
     def search_fails(*args):
         searched.set()
-        raise editor.OracleFailure("the search failed")
+        raise OracleFailure("the search failed")
 
     def fit_fails(*args):
         waits.append(searched.wait(timeout=10))
@@ -286,7 +338,7 @@ def test_evaluate_raises_a_search_error_after_the_fit_ends(
 
     def search_fails(*args):
         searched.set()
-        raise editor.OracleFailure("the search failed")
+        raise OracleFailure("the search failed")
 
     def slow_fit(*args):  # ends only after the search has failed
         assert searched.wait(timeout=10)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latentaxes import baseline, editor, gaussianize, oracle, pca, training
+from latentaxes.errors import OracleFailure, OutOfDomain
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +91,7 @@ def test_set_attribute_raw(setup):
     a = editor.set_attribute(code, 0, editor.raw_to_slot(pipe, 0, 0.9))
     b = editor.set_attribute(code, 0, g)
     np.testing.assert_array_equal(a.attr_slots, b.attr_slots)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain, match=r"raw attribute value 1.5 outside \[0, 1\]"):
         editor.raw_to_slot(pipe, 0, 1.5)
 
 
@@ -258,7 +259,7 @@ def test_search_rejects_non_finite_classifier_output(setup, linear_setup, search
     else:
         world, lin = linear_setup
         run = lambda w: lin.search_positive(w, 0, nan_for_last_row)
-    with pytest.raises(editor.OracleFailure):
+    with pytest.raises(OracleFailure, match="^classifier returned non-finite values$"):
         run(oracle.sample_w(world, 8, 27))
 
 

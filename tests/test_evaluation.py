@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from latentaxes import evaluation
-from latentaxes.errors import TooFewSamples
+from latentaxes.errors import AllZeroEmbeddings, NonPSD, TooFewSamples
 from latentaxes.evaluation import (
-    AllZeroEmbeddings,
     EditPairs,
     build_edit_pairs,
     frechet_distance,
@@ -51,6 +50,12 @@ class TestFrechet:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             frechet_distance(np.ones((3, 4)), np.ones((100, 4)))
+
+    def test_significantly_negative_eigenvalue_is_non_psd(self):
+        # roundoff below the tolerance is clamped later, not refused
+        evaluation._check_psd(np.array([-1e-7, 0.5, 1.0]))
+        with pytest.raises(NonPSD, match="significantly negative eigenvalues"):
+            evaluation._check_psd(np.array([-1e-3, 0.5, 1.0]))
 
 
 class TestVariationMatrix:

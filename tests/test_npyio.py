@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -8,14 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from latentaxes import npyio
-from latentaxes.errors import (
-    BadMagic,
-    LatentAxesError,
-    RowCountMismatch,
-    TruncatedFile,
-    UnsupportedDtype,
-    UnsupportedRank,
-)
+from latentaxes.errors import BadNpyFile, DimensionMismatch, LatentAxesError
 
 
 def test_round_trip_exact(tmp_path):
@@ -83,7 +77,7 @@ def test_we_can_read_numpy_files(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "zip.npy"
     path.write_bytes(b"PK\x03\x04" + b"\x00" * 100)
-    with pytest.raises(BadMagic):
+    with pytest.raises(BadNpyFile, match="zip.npy: not a .npy file$"):
         npyio.read_matrix(path)
 
 
@@ -92,27 +86,45 @@ def test_truncated_payload(tmp_path):
     npyio.write_matrix(np.ones((4, 4)), path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(BadNpyFile, match="m.npy: payload has 120 bytes, expected 128$"):
         npyio.read_matrix(path)
 
 
 def test_unsupported_dtype(tmp_path):
     path = tmp_path / "i.npy"
     np.save(path, np.arange(6).reshape(2, 3))  # int64
-    with pytest.raises(UnsupportedDtype):
+    with pytest.raises(BadNpyFile, match="i.npy: dtype '<i8' not supported$"):
         npyio.read_matrix(path)
 
 
 def test_unsupported_rank(tmp_path):
     path = tmp_path / "v.npy"
     np.save(path, np.arange(6.0))
-    with pytest.raises(UnsupportedRank):
+    with pytest.raises(BadNpyFile,
+                       match=r"v.npy: expected 2-D array, got shape \(6,\)$"):
         npyio.read_matrix(path)
 
 
 def test_write_rejects_nonfinite(tmp_path):
     with pytest.raises(npyio.NonFinite):
         npyio.write_matrix(np.array([[np.nan]]), tmp_path / "bad.npy")
+
+
+def test_write_rejects_a_matrix_that_is_not_2d(tmp_path):
+    with pytest.raises(DimensionMismatch, match="^expected 2-D matrix, got ndim=1$"):
+        npyio.write_matrix(np.ones(3), tmp_path / "v.npy")
+    assert not (tmp_path / "v.npy").exists()
+
+
+def test_check_shape_names_the_file_and_the_source():
+    m = np.ones((3, 4))
+    assert npyio.check_shape("a.npy", m, (3, 4), "b.json") is m
+    assert npyio.check_shape("a.npy", m, (3, None), "b.json") is m
+    for shape, want in (((4, 3), "(4, 3)"), ((None, 3), "(any, 3)"),
+                        ((3, 4, 1), "(3, 4, 1)")):
+        message = f"a.npy: shape (3, 4), but b.json gives {want}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            npyio.check_shape("a.npy", m, shape, "b.json")
 
 
 def test_write_unwritable_path():
@@ -141,7 +153,7 @@ def test_load_dataset_pairs(tmp_path):
 def test_load_dataset_row_mismatch(tmp_path):
     npyio.write_matrix(np.ones((10, 8)), tmp_path / "lat.npy")
     npyio.write_matrix(np.ones((9, 3)), tmp_path / "att.npy")
-    with pytest.raises(RowCountMismatch):
+    with pytest.raises(DimensionMismatch, match="^10 latents vs 9 attribute rows$"):
         npyio.load_dataset(tmp_path / "lat.npy", tmp_path / "att.npy")
 
 
@@ -161,7 +173,9 @@ def test_load_dataset_row_mismatch(tmp_path):
 def test_malformed_header_is_truncated_file(tmp_path, header):
     path = tmp_path / "bad.npy"
     path.write_bytes(npy_bytes(header, bytes(48)))
-    with pytest.raises(TruncatedFile):
+    # the reasons a header or payload is unusable, not its dtype or rank
+    with pytest.raises(BadNpyFile, match="bad.npy: (malformed header|invalid "
+                                         "shape|payload has)"):
         npyio.read_matrix(path)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentaxes import pca
-from latentaxes.errors import ConfigInvalid, DegenerateData, DimensionMismatch
+from latentaxes.errors import ConfigInvalid, DimensionMismatch, TooFewSamples
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ def test_zero_variance_fallback():
 
 
 def test_single_sample_rejected():
-    with pytest.raises(DegenerateData):
+    with pytest.raises(TooFewSamples, match="^PCA needs at least 2 samples$"):
         pca.fit_pca(np.ones((1, 3)), 1)
 
 

@@ -9,10 +9,10 @@ import pytest
 
 from latentaxes import training
 from latentaxes.errors import (
-    BatchTooSmall,
     ConfigInvalid,
     DimensionMismatch,
     NonFinite,
+    TooFewSamples,
 )
 from latentaxes.mlp import init_params
 from latentaxes.training import (
@@ -124,7 +124,7 @@ class TestBatchCorr:
         assert abs(corr[0, 1]) < 1e-3
 
     def test_batch_too_small(self):
-        with pytest.raises(BatchTooSmall):
+        with pytest.raises(TooFewSamples, match="^correlation needs at least 2 "):
             batch_corr(np.ones((1, 3)))
 
 
@@ -243,14 +243,19 @@ class TestGradients:
                                       training.CORR_IDENTITY])
     def test_components_equal_total_loss_bit_for_bit(self, setup, mode):
         model, x, attrs = setup
-        cfg = TrainConfig(alpha=0.7, beta=0.4, corr_mode=mode)
         gamma = None if mode == training.CORR_NONE else batch_corr(attrs)
-        *_, comps = backward(model, x, attrs, cfg, gamma)
         codes, w_hat, _, _ = forward_batch(model, x)
-        _, want = total_loss(x, w_hat, codes, attrs, cfg, gamma)
-        assert want.keys() == comps.keys()
-        for key in want:
-            assert np.float64(comps[key]).tobytes() == np.float64(want[key]).tobytes()
+        for beta in (0.4, 0.0):  # at beta 0 the corr component is 0 in both
+            cfg = TrainConfig(alpha=0.7, beta=beta, corr_mode=mode)
+            *_, comps = backward(model, x, attrs, cfg, gamma)
+            total, want = total_loss(x, w_hat, codes, attrs, cfg, gamma)
+            assert want.keys() == comps.keys()
+            for key in want:
+                assert (np.float64(comps[key]).tobytes()
+                        == np.float64(want[key]).tobytes()), (beta, key)
+            if beta == 0.0:
+                assert want["corr"] == 0.0
+                assert total == want["recons"] + cfg.alpha * want["attr"]
 
     @pytest.mark.parametrize("mode", training.CORR_MODES)
     def test_float32_copy_agrees_with_float64(self, mode):
