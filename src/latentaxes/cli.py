@@ -127,9 +127,11 @@ def cmd_fit(args) -> int:
 
 def cmd_train(args) -> int:
     ws = Path(args.workspace)
-    latents, attrs = load_dataset(ws / "latents.npy", ws / "attrs.npy")
     pca_model = pca.load_pca(ws)
     transform = gaussianize.load_transform(ws)
+    latents, attrs = load_dataset(ws / "latents.npy", ws / "attrs.npy",
+                                  pca_model.dim, transform.n_attributes,
+                                  "the fit in pca_mean.npy and attr_tables.npy")
 
     cfg = training.TrainConfig(
         corr_mode=training.VARIANT_MODES[args.variant], seed=args.seed,
@@ -152,9 +154,10 @@ def cmd_train(args) -> int:
 
 def _load_pipeline(ws: Path) -> editor.EditPipeline:
     model, _ = training.load_model(ws)
-    return editor.EditPipeline(pca=pca.load_pca(ws),
-                               transform=gaussianize.load_transform(ws),
-                               model=model)
+    return editor.EditPipeline(
+        pca=pca.load_pca(ws),
+        transform=gaussianize.load_transform(ws, model.n_attributes),
+        model=model)
 
 
 def cmd_edit(args) -> int:
@@ -162,7 +165,7 @@ def cmd_edit(args) -> int:
         raise ConfigInvalid(f"--target {args.target} is not finite")
     ws = Path(args.workspace)
     pipeline = _load_pipeline(ws)
-    latents = read_matrix(args.latents)
+    latents = read_matrix(args.latents, (None, pipeline.pca.dim), "pca_mean.npy")
     k = args.attribute
     if not 0 <= k < pipeline.model.n_attributes:
         raise ConfigInvalid(f"attribute {k} out of range")
@@ -197,7 +200,9 @@ def cmd_evaluate(args) -> int:
         if have != want:
             raise DimensionMismatch(f"the world has {have} {what} but the model "
                                     f"{want}: run fit and train again")
-    latents, attrs = load_dataset(ws / "latents.npy", ws / "attrs.npy")
+    latents, attrs = load_dataset(ws / "latents.npy", ws / "attrs.npy",
+                                  world.dim, world.n_attributes,
+                                  "world_attr_directions.npy")
 
     classify = lambda w: oracle.classify(world, w)
     embed = lambda w: oracle.embed_identity(world, w)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import OutOfDomain, TooFewSamples
+from .errors import DimensionMismatch, OutOfDomain, TooFewSamples
 from .npyio import read_matrix, write_matrix
 
 _SQRT2 = math.sqrt(2.0)
@@ -132,30 +132,36 @@ def _midrank_probs(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.clip(p, eps, 1.0 - eps)
 
 
+def _columns(t: AttributeTransform, values) -> np.ndarray:
+    """``values``, (n, K) or (K,), as an (n, K) float64 matrix; another
+    width than the transform's K is a DimensionMismatch."""
+    mat = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    if mat.shape[1] != t.n_attributes:
+        raise DimensionMismatch(f"{mat.shape[1]} attribute columns, but the "
+                                f"transform has {t.n_attributes}")
+    return mat
+
+
 def gaussianize_columns(t: AttributeTransform, raw: np.ndarray) -> np.ndarray:
     """Map raw attribute columns to gaussianized values; raw is (n, K) or (K,)."""
-    raw = np.asarray(raw, dtype=np.float64)
-    single = raw.ndim == 1
-    mat = np.atleast_2d(raw)
+    mat = _columns(t, raw)
     out = np.empty_like(mat)
     for k in range(t.n_attributes):
         out[:, k] = inv_norm_cdf(_midrank_probs(t.tables[k], mat[:, k]))
-    return out[0] if single else out
+    return out[0] if np.ndim(raw) == 1 else out
 
 
 def degaussianize_columns(t: AttributeTransform, gauss: np.ndarray) -> np.ndarray:
     """Inverse map: gaussianized values back to the raw scale via the
     interpolated empirical quantile function, clamped to the table range."""
-    gauss = np.asarray(gauss, dtype=np.float64)
-    single = gauss.ndim == 1
-    mat = np.atleast_2d(gauss)
+    mat = _columns(t, gauss)
     p = norm_cdf(mat)
     n = t.n
     positions = np.arange(1, n + 1) / (n + 1)
     out = np.empty_like(mat)
     for k in range(t.n_attributes):
         out[:, k] = np.interp(p[:, k], positions, t.tables[k])
-    return out[0] if single else out
+    return out[0] if np.ndim(gauss) == 1 else out
 
 
 def gaussianize_value(t: AttributeTransform, k: int, value: float) -> float:
@@ -169,6 +175,8 @@ def save_transform(t: AttributeTransform, directory) -> None:
     write_matrix(t.tables, directory / "attr_tables.npy")
 
 
-def load_transform(directory) -> AttributeTransform:
-    directory = Path(directory)
-    return AttributeTransform(tables=read_matrix(directory / "attr_tables.npy"))
+def load_transform(directory, k=None) -> AttributeTransform:
+    """The transform ``save_transform`` wrote; a table count other than
+    ``k``, the model's K where given, is a DimensionMismatch naming the file."""
+    return AttributeTransform(tables=read_matrix(
+        Path(directory) / "attr_tables.npy", (k, None), "model_meta.json"))

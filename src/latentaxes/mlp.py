@@ -50,9 +50,6 @@ class MlpParams:
     def layer_sizes(self):
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.weights, self.biases)
-
     def astype(self, dtype) -> "MlpParams":
         """A copy whose buffer has the float dtype given."""
         return MlpParams(*self.views(self.flat.astype(dtype)))

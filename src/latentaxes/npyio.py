@@ -1,6 +1,7 @@
 """`.npy` v1.0 reader/writer for dense 2-D float matrices, through
-`numpy.lib.format`, the checks of what is read, and the checked reader of
-the JSON metadata files that sit beside them in a workspace.
+`numpy.lib.format`, each read checked against the shape its caller expects,
+the checks of what is read, and the checked reader of the JSON metadata
+files that sit beside them in a workspace.
 
 Only the subset needed for latent/attribute interchange is supported:
 version 1.0, little-endian float32/float64, C-order, rank 2. Anything else
@@ -25,9 +26,11 @@ _MALFORMED_HEADER = (ValueError, TypeError, IndexError, SyntaxError,
                      tokenize.TokenError)
 
 
-def read_matrix(path) -> np.ndarray:
+def read_matrix(path, want=(None, None), source="") -> np.ndarray:
     """Read a 2-D float .npy file, promoting values to float64; a <f8
-    payload is read straight into the result."""
+    payload is read straight into the result. A header shape other than
+    ``want``, where None matches any length, is a DimensionMismatch naming
+    the file and ``source``, what gives that shape."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise BadNpyFile(f"{path}: not a .npy file")
@@ -48,6 +51,10 @@ def read_matrix(path) -> np.ndarray:
             raise BadNpyFile(f"{path}: fortran_order arrays not supported")
         if not all(type(n) is int and n >= 0 for n in shape):
             raise BadNpyFile(f"{path}: invalid shape {shape}")
+        if any(n not in (None, have) for have, n in zip(shape, want)):
+            wanted = ", ".join("any" if n is None else str(n) for n in want)
+            raise DimensionMismatch(f"{path}: shape {shape}, but {source} "
+                                    f"gives ({wanted})")
         expected = shape[0] * shape[1] * dtype.itemsize
         available = os.fstat(fh.fileno()).st_size - fh.tell()
         if available < expected:
@@ -72,26 +79,14 @@ def write_matrix(matrix: np.ndarray, path) -> None:
         npy_format.write_array(fh, m, version=(1, 0))
 
 
-def load_dataset(latent_path, attr_path):
-    """Load paired (latents, attributes) matrices, checking row alignment."""
-    latents = read_matrix(latent_path)
-    attrs = read_matrix(attr_path)
-    if latents.shape[0] != attrs.shape[0]:
-        raise DimensionMismatch(f"{latents.shape[0]} latents vs "
-                                f"{attrs.shape[0]} attribute rows")
+def load_dataset(latent_path, attr_path, m=None, k=None, source=""):
+    """Paired latents (n x m) and attributes (n x K): the latents fix n, and
+    ``source`` fixes m and K where they are given."""
+    latents = read_matrix(latent_path, (None, m), source)
+    name = Path(latent_path).name
+    attrs = read_matrix(attr_path, (latents.shape[0], k),
+                        f"{name} with {source}" if source else name)
     return latents, attrs
-
-
-def check_shape(path, array: np.ndarray, shape: tuple, source: str) -> np.ndarray:
-    """``array``, read from ``path``, if its shape is ``shape``, where None
-    matches any length; otherwise a DimensionMismatch naming the file and
-    ``source``, what gives the shape."""
-    if len(shape) != array.ndim or any(
-            want not in (None, have) for have, want in zip(array.shape, shape)):
-        want = ", ".join("any" if n is None else str(n) for n in shape)
-        raise DimensionMismatch(f"{path}: shape {array.shape}, but {source} "
-                                f"gives ({want})")
-    return array
 
 
 def check_finite_rows(name: str, arr: np.ndarray) -> None:

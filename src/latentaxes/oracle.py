@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch
-from .npyio import check_shape, read_matrix, read_meta, write_matrix
+from .npyio import read_matrix, read_meta, write_matrix
 
 GAIN = 2.0  # classifier logit scale: sigmoid(GAIN * mix * A * w)
 MAPPING_KINDS = ("linear", "tanh-mixed")
@@ -124,19 +124,15 @@ def load_world(directory) -> SyntheticWorld:
     meta_path = directory / "world_meta.json"
     meta = read_meta(meta_path, {"mapping_kind": str, "seed": int})
     _check_mapping_kind(meta["mapping_kind"], f"{meta_path}: ")
-    directions = read_matrix(directory / "world_attr_directions.npy")
+    source = "world_attr_directions.npy"
+    directions = read_matrix(directory / source)
     k, m = directions.shape
-
-    def matrix(name, shape):
-        path = directory / name
-        return check_shape(path, read_matrix(path), shape,
-                           "world_attr_directions.npy")
-
     return SyntheticWorld(
         attr_directions=directions,
-        mix=matrix("world_mix.npy", (k, k)),
-        identity_basis=matrix("world_identity_basis.npy", (m, None)),
-        mixing_matrix=matrix("world_mixing.npy", (m, m)),
+        mix=read_matrix(directory / "world_mix.npy", (k, k), source),
+        identity_basis=read_matrix(directory / "world_identity_basis.npy",
+                                   (m, None), source),
+        mixing_matrix=read_matrix(directory / "world_mixing.npy", (m, m), source),
         mapping_kind=meta["mapping_kind"],
         seed=meta["seed"],
     )

@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, TooFewSamples
-from .npyio import (check_finite_rows, check_shape, read_matrix, read_meta,
-                    write_matrix)
+from .npyio import check_finite_rows, read_matrix, read_meta, write_matrix
 
 
 @dataclass(frozen=True)
@@ -124,14 +123,13 @@ def load_pca(directory) -> PcaModel:
     meta_path = directory / "pca_meta.json"
     d = read_meta(meta_path, {"d": int})["d"]
 
-    def matrix(name, shape, source="pca_mean.npy"):
-        path = directory / name
-        return check_shape(path, read_matrix(path), shape, source)
-
-    mean = matrix("pca_mean.npy", (1, None), "a mean row")[0]
+    mean = read_matrix(directory / "pca_mean.npy", (1, None), "a mean row")[0]
     m = mean.shape[0]
     if not 1 <= d <= m:
         raise ConfigInvalid(f"{meta_path}: d {d} is not in [1, {m}], the latent dim")
-    return PcaModel(mean=mean, basis=matrix("pca_basis.npy", (m, m)),
-                    eigenvalues=matrix("pca_eigenvalues.npy", (1, m))[0],
-                    split=d)
+    return PcaModel(
+        mean=mean,
+        basis=read_matrix(directory / "pca_basis.npy", (m, m), "pca_mean.npy"),
+        eigenvalues=read_matrix(directory / "pca_eigenvalues.npy", (1, m),
+                                "pca_mean.npy")[0],
+        split=d)

@@ -32,7 +32,7 @@ from .mlp import (
     mlp_backward,
     mlp_forward,
 )
-from .npyio import (check_finite_rows, check_keys, check_shape, read_matrix,
+from .npyio import (check_finite_rows, check_keys, read_matrix,
                     read_meta, write_matrix)
 
 STEP_DTYPE = np.float32  # of each training step's forward and backward
@@ -333,8 +333,7 @@ def load_model(directory):
         raise ConfigInvalid(f"{exc}; run train again to rewrite it") from exc
 
     def matrix(name, shape):
-        path = directory / f"{name}.npy"
-        return check_shape(path, read_matrix(path), shape, meta_path.name)
+        return read_matrix(directory / f"{name}.npy", shape, meta_path.name)
 
     sizes = layer_sizes(code_size, cfg)
     shapes = list(zip(sizes[:-1], sizes[1:]))

@@ -227,6 +227,17 @@ def test_evaluate_prints_n_a_when_no_attribute_has_a_negative(tmp_path, capsys):
         assert f"{name}: mean rate n/a, off-diagonal sum n/a" in out
 
 
+def rewrite(name, change):
+    """A corruption that replaces the workspace file ``name`` with
+    ``change`` of its matrix."""
+    return lambda ws: npyio.write_matrix(change(npyio.read_matrix(ws / name)),
+                                         ws / name)
+
+
+def add_column(a):
+    return np.column_stack([a, a[:, :1]])
+
+
 @pytest.mark.parametrize("corrupt, code, named", [
     (lambda ws: (ws / "model_meta.json").write_text("{"),
      cli.CONFIG_ERROR, "model_meta.json"),
@@ -246,14 +257,93 @@ def test_evaluate_prints_n_a_when_no_attribute_has_a_negative(tmp_path, capsys):
     (lambda ws: npyio.write_matrix(np.ones((10, 8)), ws / "world_identity_basis.npy"),
      cli.DATA_ERROR, "world_identity_basis.npy: shape (10, 8), but "
      "world_attr_directions.npy gives (16, any)"),
+    (rewrite("attrs.npy", lambda a: a[:, :-1]),
+     cli.DATA_ERROR, "attrs.npy: shape (3000, 2), but latents.npy with "
+     "world_attr_directions.npy gives (3000, 3)"),
+    (rewrite("attrs.npy", add_column),
+     cli.DATA_ERROR, "attrs.npy: shape (3000, 4), but latents.npy with "
+     "world_attr_directions.npy gives (3000, 3)"),
+    (rewrite("latents.npy", lambda a: a[:, :-1]),
+     cli.DATA_ERROR, "latents.npy: shape (3000, 15), but "
+     "world_attr_directions.npy gives (any, 16)"),
+    (rewrite("attr_tables.npy", lambda a: a[:-1]),
+     cli.DATA_ERROR, "attr_tables.npy: shape (2, 3000), but model_meta.json "
+     "gives (3, any)"),
 ], ids=["model-meta-not-json", "unknown-mapping-kind", "weights-do-not-chain",
-        "pca-basis", "pca-eigenvalues", "world-mix", "world-identity-basis"])
+        "pca-basis", "pca-eigenvalues", "world-mix", "world-identity-basis",
+        "attrs-one-column-short", "attrs-one-column-over",
+        "latents-one-column-short", "attr-tables-one-row-short"])
 def test_evaluate_names_the_corrupt_workspace_file(workspace, tmp_path, capsys,
                                                    corrupt, code, named):
     ws = shutil.copytree(workspace, tmp_path / "ws")
     corrupt(ws)
     assert run("evaluate", "--workspace", ws, "--n", 64) == code
     assert named in capsys.readouterr().err
+
+
+# lengths evaluate reads from the file itself: the samples behind the
+# attribute transform's tables, and the identity subspace's dimension
+FREE_LENGTHS = {("attr_tables.npy", "column"), ("world_identity_basis.npy", "column")}
+
+
+def test_evaluate_refuses_every_workspace_matrix_one_row_or_column_short(
+        workspace, tmp_path, capsys):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    names = sorted(path.name for path in ws.glob("*.npy"))
+    assert {"latents.npy", "attrs.npy", "attr_tables.npy", "enc_w0.npy",
+            "world_identity_basis.npy"} <= set(names)
+    capsys.readouterr()
+    wrong = []
+    for name in names:
+        original = (ws / name).read_bytes()
+        matrix = npyio.read_matrix(ws / name)
+        for cut, short in (("row", matrix[:-1]), ("column", matrix[:, :-1])):
+            npyio.write_matrix(short, ws / name)
+            try:
+                code = run("evaluate", "--workspace", ws, "--n", 16)
+            except Exception as exc:  # the CLI let an error escape
+                code = f"traceback {exc!r}"
+            err = capsys.readouterr().err
+            if (name, cut) in FREE_LENGTHS:
+                if code != 0:
+                    wrong.append((name, cut, code, err))
+            elif code != cli.DATA_ERROR or name not in err:
+                wrong.append((name, cut, code, err))
+        (ws / name).write_bytes(original)
+    assert not wrong
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (rewrite("attrs.npy", lambda a: a[:, :-1]),
+     "attrs.npy: shape (3000, 2), but latents.npy with the fit in pca_mean.npy "
+     "and attr_tables.npy gives (3000, 3)"),
+    (rewrite("attrs.npy", add_column),
+     "attrs.npy: shape (3000, 4), but latents.npy with the fit in pca_mean.npy "
+     "and attr_tables.npy gives (3000, 3)"),
+    (rewrite("latents.npy", add_column),
+     "latents.npy: shape (3000, 17), but the fit in pca_mean.npy and "
+     "attr_tables.npy gives (any, 16)"),
+], ids=["attrs-one-column-short", "attrs-one-column-over",
+        "latents-one-column-over"])
+def test_train_names_a_dataset_file_of_another_width(workspace, tmp_path,
+                                                     capsys, corrupt, named):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    corrupt(ws)
+    (ws / "loss_history.csv").unlink()
+    assert run("train", "--workspace", ws, "--epochs", 1, "--hidden-size", 8,
+               "--n-layers", 2) == cli.DATA_ERROR
+    assert named in capsys.readouterr().err
+    assert not (ws / "loss_history.csv").exists()
+
+
+def test_edit_names_a_latents_file_of_another_width(workspace, tmp_path, capsys):
+    src, out = tmp_path / "batch.npy", tmp_path / "edited.npy"
+    npyio.write_matrix(np.ones((3, 5)), src)
+    assert run("edit", "--workspace", workspace, "--latents", src,
+               "--attribute", 1, "--target", "1.2", "--out", out) == cli.DATA_ERROR
+    assert (f"data error: {src}: shape (3, 5), but pca_mean.npy gives (any, 16)"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def set_attrs(ws, row, col, value):

@@ -8,7 +8,7 @@ from scipy.special import ndtr, ndtri
 
 from latentaxes import gaussianize as gz
 from latentaxes import oracle
-from latentaxes.errors import OutOfDomain, TooFewSamples
+from latentaxes.errors import DimensionMismatch, OutOfDomain, TooFewSamples
 
 
 def normal_quantile_oracle(p, lo=-40.0, hi=40.0):
@@ -164,6 +164,15 @@ class TestTransform:
         # inverse up to quantile resolution at interior points
         interior = (raw > 0.05) & (raw < 0.95)
         assert np.abs(back - raw)[interior].max() <= 0.01
+
+    @pytest.mark.parametrize("columns", [
+        gz.gaussianize_columns, gz.degaussianize_columns])
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (2,), (4,)])
+    def test_columns_refuse_another_width_than_k(self, columns, shape):
+        t = gz.fit_transform(np.random.default_rng(4).uniform(size=(50, 3)))
+        with pytest.raises(DimensionMismatch, match=f"^{shape[-1]} attribute "
+                           "columns, but the transform has 3$"):
+            columns(t, np.full(shape, 0.5))
 
     def test_extreme_gaussian_clamps_to_table_range(self):
         rng = np.random.default_rng(1)

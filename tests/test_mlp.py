@@ -80,7 +80,7 @@ def test_backward_matches_finite_differences():
 
 def test_adam_zero_grad_no_change():
     p = mlp.init_params(0, [3, 3])
-    before = p.copy()
+    before = p.astype(np.float64)
     state = mlp.adam_init(p)
     mlp.adam_step(p, np.zeros_like(p.flat), state, lr=0.1)
     np.testing.assert_array_equal(p.weights[0], before.weights[0])
@@ -88,7 +88,7 @@ def test_adam_zero_grad_no_change():
 
 def test_adam_first_step_is_signed_lr():
     p = mlp.init_params(0, [2, 2])
-    before = p.copy()
+    before = p.astype(np.float64)
     state = mlp.adam_init(p)
     g = np.array([[5.0, -0.003], [100.0, 0.5]])
     mlp.adam_step(p, np.concatenate([g.ravel(), np.zeros(2)]), state, lr=0.01)
@@ -293,7 +293,7 @@ def test_weights_and_biases_are_views_of_flat():
 
 def test_copy_shares_no_memory():
     p = mlp.init_params(0, [3, 4, 2])
-    q = p.copy()
+    q = p.astype(np.float64)
     assert not np.shares_memory(p.flat, q.flat)
     assert same_bits(p.flat, q.flat)
     q.weights[0][0, 0] += 1.0
@@ -323,7 +323,6 @@ def test_params_keep_float32_and_compute_in_it():
                       [b.astype(np.float32) for b in p64.biases])
     assert p.flat.dtype == np.float32
     assert all(a.dtype == np.float32 for a in p.weights + p.biases)
-    assert p.copy().flat.dtype == np.float32
     assert same_bits(p.flat, p64.astype(np.float32).flat)
     x = np.random.default_rng(0).normal(size=(6, 3))  # cast on entry
     y, acts = mlp.mlp_forward(p, x)
@@ -337,7 +336,7 @@ def test_params_keep_float32_and_compute_in_it():
 
 def test_adam_updates_float64_params_from_float32_gradient_in_float64():
     p = mlp.init_params(0, [3, 4, 2])
-    ref = p.copy()
+    ref = p.astype(np.float64)
     state, ref_state = mlp.adam_init(p), mlp.adam_init(ref)
     rng = np.random.default_rng(1)
     for _ in range(3):

@@ -116,15 +116,16 @@ def test_write_rejects_a_matrix_that_is_not_2d(tmp_path):
     assert not (tmp_path / "v.npy").exists()
 
 
-def test_check_shape_names_the_file_and_the_source():
-    m = np.ones((3, 4))
-    assert npyio.check_shape("a.npy", m, (3, 4), "b.json") is m
-    assert npyio.check_shape("a.npy", m, (3, None), "b.json") is m
-    for shape, want in (((4, 3), "(4, 3)"), ((None, 3), "(any, 3)"),
-                        ((3, 4, 1), "(3, 4, 1)")):
-        message = f"a.npy: shape (3, 4), but b.json gives {want}"
+def test_read_matrix_names_the_file_and_the_source(tmp_path):
+    path = tmp_path / "a.npy"
+    npyio.write_matrix(np.ones((3, 4)), path)
+    for want in ((3, 4), (3, None), (None, None)):
+        assert npyio.read_matrix(path, want, "b.json").shape == (3, 4)
+    for want, shown in (((4, 3), "(4, 3)"), ((None, 3), "(any, 3)"),
+                        ((3, 0), "(3, 0)")):
+        message = f"{path}: shape (3, 4), but b.json gives {shown}"
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
-            npyio.check_shape("a.npy", m, shape, "b.json")
+            npyio.read_matrix(path, want, "b.json")
 
 
 def test_write_unwritable_path():
@@ -153,8 +154,26 @@ def test_load_dataset_pairs(tmp_path):
 def test_load_dataset_row_mismatch(tmp_path):
     npyio.write_matrix(np.ones((10, 8)), tmp_path / "lat.npy")
     npyio.write_matrix(np.ones((9, 3)), tmp_path / "att.npy")
-    with pytest.raises(DimensionMismatch, match="^10 latents vs 9 attribute rows$"):
+    message = f"{tmp_path / 'att.npy'}: shape (9, 3), but lat.npy gives (10, any)"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         npyio.load_dataset(tmp_path / "lat.npy", tmp_path / "att.npy")
+
+
+@pytest.mark.parametrize("m, k, name, message", [
+    (7, 3, "lat.npy", "shape (10, 8), but w.npy gives (any, 7)"),
+    (8, 4, "att.npy", "shape (10, 3), but lat.npy with w.npy gives (10, 4)")],
+    ids=["latents-width", "attrs-width"])
+def test_load_dataset_checks_the_widths_the_source_gives(tmp_path, m, k, name,
+                                                        message):
+    npyio.write_matrix(np.ones((10, 8)), tmp_path / "lat.npy")
+    npyio.write_matrix(np.ones((10, 3)), tmp_path / "att.npy")
+    message = f"{tmp_path / name}: {message}"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        npyio.load_dataset(tmp_path / "lat.npy", tmp_path / "att.npy", m, k,
+                           "w.npy")
+    latents, attrs = npyio.load_dataset(tmp_path / "lat.npy",
+                                        tmp_path / "att.npy", 8, 3, "w.npy")
+    assert latents.shape == (10, 8) and attrs.shape == (10, 3)
 
 
 @pytest.mark.parametrize("header", [
