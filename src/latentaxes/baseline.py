@@ -23,6 +23,7 @@ import numpy as np
 from .editor import first_hit
 from .errors import DimensionMismatch, LatentAxesError, NotConverged, SingleClass
 from .npyio import check_finite_rows, read_matrix, write_matrix
+from .pca import BLOCK_ROWS
 
 DEFAULT_AMPLITUDES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
 FIT_L2 = 1e-3       # ridge weight on the standardized coefficients w
@@ -30,7 +31,6 @@ FIT_TOL = 1e-12     # converged once a step moves no coefficient by this much
 FIT_MAX_ITER = 50   # Newton steps before NotConverged, per phase: the desk
                     # data takes 9 on the warm-start rows, then 5 on all
 WARM_ROWS = 2048    # rows of the warm-start fit
-BLOCK_ROWS = 1024   # rows per block of the n-by-m temporaries
 
 
 def expit(z):

@@ -138,6 +138,7 @@ def cmd_train(args) -> int:
         **{name: getattr(args, name) for name in TRAIN_OPTIONS})
     top = pca.project(pca_model, latents).top
     attrs_gauss = gaussianize.gaussianize_columns(transform, attrs)
+    del latents, attrs  # training needs only top and attrs_gauss
     model, history = training.train(top, attrs_gauss, cfg)
     training.save_model(model, cfg, ws)
 
@@ -154,8 +155,14 @@ def cmd_train(args) -> int:
 
 def _load_pipeline(ws: Path) -> editor.EditPipeline:
     model, _ = training.load_model(ws)
+    pca_model = pca.load_pca(ws)
+    code_size = model.encoder.layer_sizes[0]
+    if pca_model.split != code_size:
+        raise DimensionMismatch(
+            f"{ws / 'pca_meta.json'}: d {pca_model.split}, but "
+            f"{ws / 'model_meta.json'} gives code_size {code_size}: run train again")
     return editor.EditPipeline(
-        pca=pca.load_pca(ws),
+        pca=pca_model,
         transform=gaussianize.load_transform(ws, model.n_attributes),
         model=model)
 

@@ -50,8 +50,9 @@ def make_world(m: int, n_attributes: int, q: int, correlated: bool = False,
     from one QR factorization, so they are exactly mutually orthogonal."""
     _check_mapping_kind(mapping_kind, "")
     k = n_attributes
-    if k < 1 or q < 0:
-        raise ConfigInvalid(f"need K >= 1 and q >= 0, got K={k}, q={q}")
+    if k < 1 or q < 1:
+        raise ConfigInvalid(f"need K >= 1 and q >= 1, got K={k}, q={q}: identity "
+                            "similarity scores edits in the identity subspace")
     if m <= k + q:
         raise ConfigInvalid(f"need m > K + q, got m={m}, K={k}, q={q}")
     if seed < 0:
@@ -118,8 +119,9 @@ def save_world(world: SyntheticWorld, directory) -> None:
 
 def load_world(directory) -> SyntheticWorld:
     """The world ``save_world`` wrote. The attribute directions (K x m) fix
-    the shapes of the mix (K x K), the identity basis (m x q) and the mixing
-    matrix (m x m); a file of another shape is a DimensionMismatch naming it."""
+    the shapes of the mix (K x K), the identity basis (m x q, q >= 1) and the
+    mixing matrix (m x m); a file of another shape is a DimensionMismatch
+    naming it."""
     directory = Path(directory)
     meta_path = directory / "world_meta.json"
     meta = read_meta(meta_path, {"mapping_kind": str, "seed": int})
@@ -127,11 +129,15 @@ def load_world(directory) -> SyntheticWorld:
     source = "world_attr_directions.npy"
     directions = read_matrix(directory / source)
     k, m = directions.shape
+    identity_path = directory / "world_identity_basis.npy"
+    identity_basis = read_matrix(identity_path, (m, None), source)
+    if identity_basis.shape[1] == 0:
+        raise DimensionMismatch(f"{identity_path}: no columns, but identity "
+                                "similarity scores edits in the identity subspace")
     return SyntheticWorld(
         attr_directions=directions,
         mix=read_matrix(directory / "world_mix.npy", (k, k), source),
-        identity_basis=read_matrix(directory / "world_identity_basis.npy",
-                                   (m, None), source),
+        identity_basis=identity_basis,
         mixing_matrix=read_matrix(directory / "world_mixing.npy", (m, m), source),
         mapping_kind=meta["mapping_kind"],
         seed=meta["seed"],

@@ -14,6 +14,11 @@ import numpy as np
 from .errors import ConfigInvalid, DimensionMismatch, TooFewSamples
 from .npyio import check_finite_rows, read_matrix, read_meta, write_matrix
 
+# rows per block of the n-by-m temporaries. OpenBLAS can give a block of a
+# few dozen rows other product bits than the whole matrix (blocks of up to 33
+# rows did on a Haswell kernel, m = 32), so no block is smaller than this.
+BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class PcaModel:
@@ -80,11 +85,24 @@ def _check_vec(model: PcaModel, w: np.ndarray) -> np.ndarray:
 def project(model: PcaModel, w: np.ndarray) -> PcaSplit:
     """Coordinates of ``w - mean`` in the basis, split into leading/trailing.
 
-    Accepts a single vector or a batch (rows are samples).
+    Accepts a single vector or a batch (rows are samples). A batch is
+    projected in blocks of BLOCK_ROWS rows, the remainder joining the last
+    block, into a C-contiguous ``top`` and ``residual`` of their own, so no
+    n-by-m temporary is made; each row has the bits of the one-shot product.
     """
     w = _check_vec(model, w)
-    t = (w - model.mean) @ model.basis
-    return PcaSplit(top=t[..., : model.split], residual=t[..., model.split:])
+    d = model.split
+    if w.ndim == 1:
+        t = (w - model.mean) @ model.basis
+        return PcaSplit(top=t[:d], residual=t[d:])
+    n = w.shape[0]
+    top, residual = np.empty((n, d)), np.empty((n, model.dim - d))
+    starts = range(0, BLOCK_ROWS * max(n // BLOCK_ROWS, 1), BLOCK_ROWS)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        t = (w[start:stop] - model.mean) @ model.basis
+        top[start:stop], residual[start:stop] = t[:, :d], t[:, d:]
+        del t  # freed before the next block's two temporaries exist
+    return PcaSplit(top=top, residual=residual)
 
 
 def reconstruct(model: PcaModel, split: PcaSplit) -> np.ndarray:

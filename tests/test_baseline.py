@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -260,17 +259,12 @@ def test_desk_fit_takes_newton_steps(monkeypatch):
         assert full <= 5, f"attribute {k}: {full} full-data steps"
 
 
-def test_desk_fit_peak_memory():
+def test_desk_fit_peak_memory(traced_peak):
     # the shared float32 design is 2.4 MiB; an n-by-m float64 temporary
     # (5 MiB), or an n-by-m float32 u per Newton step, would exceed the bound
     world = oracle.make_world(32, 5, 8, correlated=True, seed=7)
     latents, attrs = oracle.build_dataset(world, 20000, seed=8)
-    tracemalloc.start()
-    try:
-        baseline.fit_all_directions(latents, attrs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(baseline.fit_all_directions, latents, attrs)
     assert peak <= 5.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 

@@ -56,10 +56,12 @@ def test_fit_rejects_oversized_d(workspace):
 @pytest.mark.parametrize("argv, message, unwritten", [
     (("fit", "--d", 0), "d=0 is not in [1, 16]", "pca_meta.json"),
     (("fit", "--d", -3), "d=-3 is not in [1, 16]", "pca_meta.json"),
-    (("gen-data", "--k", 0, "--force"), "need K >= 1 and q >= 0, got K=0",
+    (("gen-data", "--k", 0, "--force"), "need K >= 1 and q >= 1, got K=0",
      "world_meta.json"),
-    (("gen-data", "--q", -1, "--force"), "need K >= 1 and q >= 0, got K=5, "
+    (("gen-data", "--q", -1, "--force"), "need K >= 1 and q >= 1, got K=5, "
      "q=-1", "world_meta.json"),
+    (("gen-data", "--q", 0, "--force"), "need K >= 1 and q >= 1, got K=5, q=0: "
+     "identity similarity scores edits in the identity subspace", "world_meta.json"),
     (("gen-data", "--m", 8, "--force"), "need m > K + q, got m=8, K=5, q=8",
      "world_meta.json"),
     (("gen-data", "--seed", -1, "--force"), "seed -1 is negative",
@@ -74,8 +76,9 @@ def test_fit_rejects_oversized_d(workspace):
     (("evaluate", "--threshold", "inf"), "threshold inf is not in (0, 1)",
      "report.json")],
     ids=["fit-d-0", "fit-d-negative", "gen-data-k-0", "gen-data-q-negative",
-         "gen-data-m-8", "gen-data-seed-negative", "evaluate-seed-negative",
-         "threshold-nan", "threshold-1.5", "threshold-0", "threshold-inf"])
+         "gen-data-q-0", "gen-data-m-8", "gen-data-seed-negative",
+         "evaluate-seed-negative", "threshold-nan", "threshold-1.5",
+         "threshold-0", "threshold-inf"])
 def test_out_of_range_flag_is_a_config_error(workspace, tmp_path, capsys,
                                              argv, message, unwritten):
     ws = shutil.copytree(workspace, tmp_path / "ws")
@@ -257,6 +260,9 @@ def add_column(a):
     (lambda ws: npyio.write_matrix(np.ones((10, 8)), ws / "world_identity_basis.npy"),
      cli.DATA_ERROR, "world_identity_basis.npy: shape (10, 8), but "
      "world_attr_directions.npy gives (16, any)"),
+    (lambda ws: npyio.write_matrix(np.ones((16, 0)), ws / "world_identity_basis.npy"),
+     cli.DATA_ERROR, "world_identity_basis.npy: no columns, but identity "
+     "similarity scores edits in the identity subspace"),
     (rewrite("attrs.npy", lambda a: a[:, :-1]),
      cli.DATA_ERROR, "attrs.npy: shape (3000, 2), but latents.npy with "
      "world_attr_directions.npy gives (3000, 3)"),
@@ -271,6 +277,7 @@ def add_column(a):
      "gives (3, any)"),
 ], ids=["model-meta-not-json", "unknown-mapping-kind", "weights-do-not-chain",
         "pca-basis", "pca-eigenvalues", "world-mix", "world-identity-basis",
+        "world-identity-basis-no-columns",
         "attrs-one-column-short", "attrs-one-column-over",
         "latents-one-column-short", "attr-tables-one-row-short"])
 def test_evaluate_names_the_corrupt_workspace_file(workspace, tmp_path, capsys,
@@ -344,6 +351,24 @@ def test_edit_names_a_latents_file_of_another_width(workspace, tmp_path, capsys)
     assert (f"data error: {src}: shape (3, 5), but pca_mean.npy gives (any, 16)"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "edit"])
+def test_a_pca_split_other_than_the_code_size_names_both_files(
+        workspace, tmp_path, capsys, command):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    (ws / "pca_meta.json").write_text(json.dumps({"d": 7}))
+    (ws / "report.json").unlink(missing_ok=True)
+    src, out = tmp_path / "batch.npy", tmp_path / "edited.npy"
+    npyio.write_matrix(npyio.read_matrix(ws / "latents.npy")[:3], src)
+    argv = {"evaluate": ("--n", 16),
+            "edit": ("--latents", src, "--attribute", 1, "--target", "1.2",
+                     "--out", out)}[command]
+    assert run(command, "--workspace", ws, *argv) == cli.DATA_ERROR
+    assert (f"data error: {ws / 'pca_meta.json'}: d 7, but "
+            f"{ws / 'model_meta.json'} gives code_size 8: run train again"
+            in capsys.readouterr().err)
+    assert not out.exists() and not (ws / "report.json").exists()
 
 
 def set_attrs(ws, row, col, value):

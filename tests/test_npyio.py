@@ -1,6 +1,5 @@
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,18 +21,13 @@ def test_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back, m)
 
 
-def test_float64_read_holds_one_copy_of_the_payload(tmp_path):
+def test_float64_read_holds_one_copy_of_the_payload(tmp_path, traced_peak):
     # the desk latents' size: a read through an intermediate bytes object
     # peaks at twice the payload
     m = np.random.default_rng(1).normal(size=(20000, 32))
     path = tmp_path / "m.npy"
     npyio.write_matrix(m, path)
-    tracemalloc.start()
-    try:
-        back = npyio.read_matrix(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(npyio.read_matrix, path)
     assert peak <= 1.1 * m.nbytes
     assert back.tobytes() == m.tobytes() and back.flags.writeable
 

@@ -30,7 +30,7 @@ def test_dimension_guard():
         oracle.make_world(10, 5, 8)
 
 
-@pytest.mark.parametrize("k, q", [(0, 8), (-1, 8), (5, -1)])
+@pytest.mark.parametrize("k, q", [(0, 8), (-1, 8), (5, -1), (5, 0)])
 def test_make_world_refuses_no_attributes_or_negative_q(k, q):
     with pytest.raises(ConfigInvalid, match=f"got K={k}, q={q}"):
         oracle.make_world(32, k, q)

@@ -119,6 +119,41 @@ def test_batch_project(gaussian_model):
     np.testing.assert_allclose(back, data[:10], atol=1e-8)
 
 
+@pytest.fixture(scope="module")
+def desk_model():
+    # the desk shape: m = 32, d = 16, 20000 rows and one more
+    rng = np.random.default_rng(8)
+    data = rng.normal(size=(20001, 32)) * np.linspace(4, 0.5, 32) + 1.5
+    return pca.fit_pca(data[:20000], split=16), data
+
+
+BLOCK = pca.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, 7, 99, BLOCK, 2 * BLOCK, 2 * BLOCK + 1, 20000,
+                               20001])
+def test_blocked_project_has_the_bits_of_the_one_shot_product(desk_model, n):
+    # training reads these bits: a block of a few rows would change them
+    model, data = desk_model
+    w = data[:n]
+    split = pca.project(model, w)
+    t = (w - model.mean) @ model.basis
+    assert np.array_equal(split.top, t[:, :16])
+    assert np.array_equal(split.residual, t[:, 16:])
+    for part in (split.top, split.residual):  # neither keeps the other alive
+        assert part.flags.c_contiguous and part.base is None
+
+
+def test_desk_project_peak_memory(desk_model, traced_peak):
+    # the two outputs are 4.9 MiB; one more n-by-m temporary (4.9 MiB) would
+    # exceed the bound, a block's two temporaries (at most 1 MiB) do not
+    model, data = desk_model
+    w = data[:20000]
+    split, peak = traced_peak(pca.project, model, w)
+    assert split.top.nbytes + split.residual.nbytes == w.nbytes
+    assert peak <= 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_save_load_round_trip(gaussian_model, tmp_path):
     model, data = gaussian_model
     pca.save_pca(model, tmp_path)
