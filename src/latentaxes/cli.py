@@ -112,10 +112,7 @@ def cmd_fit(args) -> int:
     latents, attrs = load_dataset(ws / "latents.npy", ws / "attrs.npy")
     if not 1 <= args.d <= latents.shape[1]:
         raise ConfigInvalid(f"d={args.d} is not in [1, {latents.shape[1]}]")
-    try:
-        model = pca.fit_pca(latents, args.d)
-    except NonFinite as exc:
-        raise NonFinite(f"{ws / 'latents.npy'}: {exc}") from exc
+    model = pca.fit_pca(latents, args.d)
     pca.save_pca(model, ws)
     transform = gaussianize.fit_transform(attrs)
     gaussianize.save_transform(transform, ws)

@@ -24,9 +24,12 @@ DEFAULT_AMPLITUDE_QUANTILES = (
 
 @dataclass(frozen=True)
 class EditableCode:
-    attr_slots: np.ndarray   # (K,) or (n, K), gaussianized scale
-    free_slots: np.ndarray   # (d - K,) or (n, d - K)
-    residual: np.ndarray     # (m - d,) or (n, m - d)
+    slots: np.ndarray     # (d,) or (n, d): K attribute slots, then d - K free
+    residual: np.ndarray  # (m - d,) or (n, m - d)
+    n_attributes: int
+    # views into slots: the gaussianized attribute slots, and the free ones
+    attr_slots = property(lambda self: self.slots[..., :self.n_attributes])
+    free_slots = property(lambda self: self.slots[..., self.n_attributes:])
 
 
 @dataclass(frozen=True)
@@ -44,25 +47,22 @@ class EditPipeline:
 
 def encode(pipeline: EditPipeline, w: np.ndarray) -> EditableCode:
     split = project(pipeline.pca, w)
-    codes, _ = mlp_forward(pipeline.model.encoder, split.top)
-    k = pipeline.model.n_attributes
-    return EditableCode(attr_slots=codes[..., :k], free_slots=codes[..., k:],
-                        residual=split.residual)
+    slots, _ = mlp_forward(pipeline.model.encoder, split.top)
+    return EditableCode(slots, split.residual, pipeline.model.n_attributes)
 
 
 def decode(pipeline: EditPipeline, code: EditableCode) -> np.ndarray:
-    full = np.concatenate([code.attr_slots, code.free_slots], axis=-1)
-    top, _ = mlp_forward(pipeline.model.decoder, full)
+    top, _ = mlp_forward(pipeline.model.decoder, code.slots)
     return reconstruct(pipeline.pca, PcaSplit(top=top, residual=code.residual))
 
 
 def set_attribute(code: EditableCode, k: int, value: float) -> EditableCode:
     """Return a copy with attribute slot k set; everything else untouched."""
-    if not 0 <= k < code.attr_slots.shape[-1]:
+    if not 0 <= k < code.n_attributes:
         raise IndexError(f"attribute index {k} out of range")
-    slots = code.attr_slots.copy()
+    slots = code.slots.copy()
     slots[..., k] = value
-    return replace(code, attr_slots=slots)
+    return replace(code, slots=slots)
 
 
 def raw_to_slot(pipeline: EditPipeline, k: int, raw_value: float) -> float:
@@ -90,8 +90,7 @@ def search_positive(pipeline: EditPipeline, latents: np.ndarray, k: int,
     targets = inv_norm_cdf(quantile_grid)
 
     def candidate(i, rows):
-        sub = EditableCode(code.attr_slots[rows], code.free_slots[rows],
-                           code.residual[rows])
+        sub = replace(code, slots=code.slots[rows], residual=code.residual[rows])
         return decode(pipeline, set_attribute(sub, k, targets[i]))
 
     return first_hit(latents, k, classify_fn, threshold, len(quantile_grid),

@@ -81,11 +81,14 @@ def write_matrix(matrix: np.ndarray, path) -> None:
 
 def load_dataset(latent_path, attr_path, m=None, k=None, source=""):
     """Paired latents (n x m) and attributes (n x K): the latents fix n, and
-    ``source`` fixes m and K where they are given."""
+    ``source`` fixes m and K where they are given. A row of either that
+    holds a NaN or infinity is a NonFinite naming the file and the row."""
     latents = read_matrix(latent_path, (None, m), source)
     name = Path(latent_path).name
     attrs = read_matrix(attr_path, (latents.shape[0], k),
                         f"{name} with {source}" if source else name)
+    for path, matrix in ((latent_path, latents), (attr_path, attrs)):
+        check_finite_rows(f"{path}: data", matrix)
     return latents, attrs
 
 

@@ -192,6 +192,7 @@ def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
 def check_config(cfg: TrainConfig, where: str = "") -> None:
     """Refuse a config ``train`` cannot run with: a ConfigInvalid naming
     ``where`` and the first field out of range."""
+    min_batch = 2 if cfg.corr_mode == CORR_NONE else MIN_CORR_BATCH
     for name, valid, rule in (  # NaN fails every comparison
             ("epochs", cfg.epochs >= 1, ">= 1"),
             ("hidden_size", cfg.hidden_size >= 1, ">= 1"),
@@ -200,7 +201,9 @@ def check_config(cfg: TrainConfig, where: str = "") -> None:
             ("alpha", 0 <= cfg.alpha < np.inf, "finite and >= 0"),
             ("beta", 0 <= cfg.beta < np.inf, "finite and >= 0"),
             ("seed", cfg.seed >= 0, ">= 0"),
-            ("corr_mode", cfg.corr_mode in CORR_MODES, f"one of {CORR_MODES}")):
+            ("corr_mode", cfg.corr_mode in CORR_MODES, f"one of {CORR_MODES}"),
+            ("batch_size", cfg.batch_size >= min_batch,
+             f">= {min_batch} under corr_mode {cfg.corr_mode!r}")):
         if not valid:
             raise ConfigInvalid(f"{where}{name} {getattr(cfg, name)!r} is not {rule}")
 
@@ -231,9 +234,9 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
     # correlation loss never sees a short tail (on 2 rows every correlation
     # is +-1) and an epoch keeps ceil(n / batch_size) steps.
     min_batch = 2 if cfg.corr_mode == CORR_NONE else MIN_CORR_BATCH
-    if min(cfg.batch_size, n) < min_batch:
-        raise ConfigInvalid(f"corr_mode {cfg.corr_mode!r} needs batches of at "
-                            f"least {min_batch} rows")
+    if n < min_batch:
+        raise ConfigInvalid(f"corr_mode {cfg.corr_mode!r} needs at least "
+                            f"{min_batch} rows, but the dataset has {n}")
 
     if cfg.corr_mode == CORR_IDENTITY:
         gamma = np.eye(k)

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +16,11 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return peak
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print the package's line count, as ``wc -l src/latentaxes/*.py``
+    counts it, after every run."""
+    src = Path(__file__).resolve().parent.parent / "src" / "latentaxes"
+    lines = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
+    terminalreporter.write_line(f"src/latentaxes/*.py: {lines} lines")

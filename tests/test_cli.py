@@ -382,15 +382,30 @@ def set_attrs(ws, row, col, value):
      cli.DATA_ERROR, "attribute 1: both classes must be present"),
     (lambda ws, mp: mp.setattr(baseline, "FIT_MAX_ITER", 1),
      cli.DATA_ERROR, "attribute 0: no convergence in 1 Newton steps"),
-    (lambda ws, mp: set_attrs(ws, 5, 2, np.nan),
-     cli.NUMERIC_ERROR, "attribute 2: labels row 5 is not finite"),
-], ids=["single-class", "iteration-cap", "nan-attribute"])
+], ids=["single-class", "iteration-cap"])
 def test_evaluate_names_the_attribute_the_baseline_cannot_fit(
         workspace, tmp_path, capsys, monkeypatch, break_fit, code, named):
     ws = shutil.copytree(workspace, tmp_path / "ws")
     break_fit(ws, monkeypatch)
     assert run("evaluate", "--workspace", ws, "--n", 64) == code
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, unwritten", [
+    (("fit", "--d", 8), "pca_meta.json"),
+    (("train", "--epochs", 1, "--hidden-size", 8, "--n-layers", 2),
+     "model_meta.json"),
+    (("evaluate", "--n", 16), "report.json")], ids=["fit", "train", "evaluate"])
+def test_a_non_finite_attribute_is_refused_naming_the_file_and_row(
+        workspace, tmp_path, capsys, argv, unwritten):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    set_attrs(ws, 5, 2, np.nan)
+    (ws / unwritten).unlink(missing_ok=True)
+    command, *flags = argv
+    assert run(command, "--workspace", ws, *flags) == cli.NUMERIC_ERROR
+    assert (f"numeric failure: {ws / 'attrs.npy'}: data row 5 is not finite"
+            in capsys.readouterr().err)
+    assert not (ws / unwritten).exists()
 
 
 def test_evaluate_report_equals_the_serially_built_report(workspace, tmp_path):
@@ -632,7 +647,7 @@ def test_evaluate_refuses_negative_n(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("option, value", [
     ("--epochs", 0), ("--hidden-size", 0), ("--n-layers", 0),
     ("--learning-rate", -1), ("--alpha", "nan"), ("--beta", -1),
-    ("--seed", -1)])
+    ("--seed", -1), ("--batch-size", -5), ("--batch-size", 31)])
 def test_train_refuses_invalid_config_before_writing(workspace, tmp_path,
                                                      capsys, option, value):
     ws = shutil.copytree(workspace, tmp_path / "ws")

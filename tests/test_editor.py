@@ -29,6 +29,40 @@ def test_encode_shapes(setup):
     assert code.residual.shape == (6,)
 
 
+def test_slot_views_share_memory_with_the_code_vector(setup):
+    world, pipe, latents = setup
+    for w in (latents[0], latents[:3]):
+        code = editor.encode(pipe, w)
+        assert code.slots.shape[-1] == 6 and code.n_attributes == 2
+        for view in (code.attr_slots, code.free_slots):
+            assert np.shares_memory(view, code.slots)
+        np.testing.assert_array_equal(
+            np.concatenate([code.attr_slots, code.free_slots], axis=-1),
+            code.slots)
+
+
+def test_set_attribute_leaves_its_input_untouched(setup):
+    world, pipe, latents = setup
+    code = editor.encode(pipe, latents[:4])
+    before = code.slots.tobytes()
+    edited = editor.set_attribute(code, 1, 2.5)
+    assert not np.shares_memory(edited.slots, code.slots)
+    assert code.slots.tobytes() == before
+    assert (edited.attr_slots[:, 1] == 2.5).all()
+
+
+def test_decode_hands_the_code_vector_itself_to_the_decoder(setup,
+                                                            monkeypatch):
+    world, pipe, latents = setup
+    code = editor.set_attribute(editor.encode(pipe, latents[:4]), 0, 1.0)
+    seen = []
+    real = editor.mlp_forward
+    monkeypatch.setattr(editor, "mlp_forward",
+                        lambda params, x: seen.append(x) or real(params, x))
+    editor.decode(pipe, code)
+    assert len(seen) == 1 and seen[0] is code.slots
+
+
 def test_residual_passes_through_bit_exact(setup):
     world, pipe, latents = setup
     w = latents[5]
@@ -98,8 +132,8 @@ def test_set_attribute_raw(setup):
 def test_decode_residual_linearity(setup):
     world, pipe, latents = setup
     code = editor.encode(pipe, latents[7])
-    zeroed = editor.EditableCode(code.attr_slots, code.free_slots,
-                                 np.zeros_like(code.residual))
+    zeroed = editor.EditableCode(code.slots, np.zeros_like(code.residual),
+                                 code.n_attributes)
     diff = editor.decode(pipe, code) - editor.decode(pipe, zeroed)
     trailing = pipe.pca.basis[:, pipe.pca.split:]
     np.testing.assert_allclose(diff, trailing @ code.residual, atol=1e-10)

@@ -153,6 +153,20 @@ def test_load_dataset_row_mismatch(tmp_path):
         npyio.load_dataset(tmp_path / "lat.npy", tmp_path / "att.npy")
 
 
+@pytest.mark.parametrize("name", ["lat.npy", "att.npy"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_dataset_names_the_file_and_row_of_a_non_finite_value(tmp_path,
+                                                                  name, bad):
+    for path, width in (("lat.npy", 8), ("att.npy", 3)):
+        matrix = np.ones((10, width))
+        if path == name:
+            matrix[[4, 7], 1] = bad
+        np.save(tmp_path / path, matrix)  # write_matrix would refuse it
+    message = f"{tmp_path / name}: data row 4 is not finite"
+    with pytest.raises(npyio.NonFinite, match=f"^{re.escape(message)}$"):
+        npyio.load_dataset(tmp_path / "lat.npy", tmp_path / "att.npy")
+
+
 @pytest.mark.parametrize("m, k, name, message", [
     (7, 3, "lat.npy", "shape (10, 8), but w.npy gives (any, 7)"),
     (8, 4, "att.npy", "shape (10, 3), but lat.npy with w.npy gives (10, 4)")],

@@ -393,7 +393,7 @@ class TestTrain:
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("alpha", -1.0), ("alpha", float("nan")), ("beta", -0.5),
         ("beta", float("inf")), ("corr_mode", "bogus"), ("corr_mode", "C"),
-        ("seed", -1)])
+        ("seed", -1), ("batch_size", -5)])
     def test_rejects_invalid_config(self, field, value, monkeypatch):
         # refused where it enters, before a net is built
         monkeypatch.setattr(training, "init_params", None)
@@ -402,6 +402,17 @@ class TestTrain:
                              field: value})
         with pytest.raises(ConfigInvalid, match=f"^{field} "):
             train(x, attrs, cfg)
+
+    @pytest.mark.parametrize("mode, floor", [(training.CORR_NONE, 2),
+                                             (training.CORR_DATABASE, 32),
+                                             (training.CORR_IDENTITY, 32)])
+    def test_batch_size_floor_depends_on_corr_mode(self, mode, floor):
+        training.check_config(TrainConfig(batch_size=floor, corr_mode=mode))
+        with pytest.raises(ConfigInvalid, match=f"^batch_size {floor - 1} is "
+                                                f"not >= {floor} under "
+                                                f"corr_mode '{mode}'$"):
+            training.check_config(TrainConfig(batch_size=floor - 1,
+                                              corr_mode=mode))
 
     @pytest.mark.parametrize("which", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -517,6 +528,14 @@ class TestTrain:
         meta["train_config"].update(train_config)
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ConfigInvalid, match="model_meta.json"):
+            training.load_model(tmp_path)
+
+    def test_load_model_refuses_a_batch_size_train_refuses(self, tmp_path):
+        meta_path, meta = self.saved_manifest(tmp_path)
+        meta["train_config"]["batch_size"] = -5
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ConfigInvalid, match=r"model_meta.json: train_config "
+                                                r"batch_size -5 is not >= 32 "):
             training.load_model(tmp_path)
 
     def test_load_model_refuses_missing_train_config_field(self, tmp_path):
