@@ -119,15 +119,14 @@ class LinearEditor:
 
 def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEditor:
     """Fit the module's objective for each attribute k on labels y = raw
-    value >= 0.5 (a non-finite raw value stays non-finite, so the fit
-    refuses it) by damped Newton: each step solves the Hessian system for
-    (w, b) and is halved while the objective rises; a fit stops once a step
-    moves no coefficient by FIT_TOL and raises NotConverged after
-    FIT_MAX_ITER steps. On n > 2 * WARM_ROWS rows, the fit on all rows
-    starts from the same fit on the first WARM_ROWS rows, or from zero when
-    those hold one class or the fit on them does not converge. units[k] is
-    w / sigma, the direction in the original space, at unit norm; biases[k]
-    is b.
+    value >= 0.5 (a non-finite raw value is refused) by damped Newton: each
+    step solves the Hessian system for (w, b) and is halved while the
+    objective rises; a fit stops once a step moves no coefficient by FIT_TOL
+    and raises NotConverged after FIT_MAX_ITER steps. On n > 2 * WARM_ROWS
+    rows, the fit on all rows starts from the same fit on the first
+    WARM_ROWS rows, or from zero when those hold one class or the fit on
+    them does not converge. units[k] is w / sigma, the direction in the
+    original space, at unit norm; biases[k] is b.
 
     The logits x @ v + c, with (v, c) = (w / sigma, b - mu @ w / sigma), the
     gradient and the line search are float64, so the fixed point is the
@@ -162,9 +161,9 @@ def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEdit
         xs32[b] = (x[b] - mu) / sigma
     units, biases = np.empty((raw_attrs.shape[1], m)), np.empty(raw_attrs.shape[1])
     for k, col in enumerate(raw_attrs.T):
-        labels = np.where(np.isfinite(col), col >= 0.5, np.nan)
+        labels = col >= 0.5
         try:
-            check_finite_rows("labels", labels)
+            check_finite_rows("labels", col)
             if labels.min() == labels.max():
                 raise SingleClass("both classes must be present")
             theta = np.zeros(m + 1)

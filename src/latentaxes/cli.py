@@ -29,8 +29,8 @@ import numpy as np
 from . import baseline, editor, evaluation, gaussianize, oracle, pca, training
 from .errors import (ConfigInvalid, DimensionMismatch, LatentAxesError, NonFinite,
                      NonPSD, OutOfDomain)
-from .npyio import (check_finite_rows, check_type, load_dataset, read_json_object,
-                    read_matrix, write_matrix)
+from .npyio import (check_type, load_dataset, read_json_object, read_matrix,
+                    write_matrix)
 
 CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 # the `train` options: TrainConfig fields, with its defaults and types
@@ -173,7 +173,6 @@ def cmd_edit(args) -> int:
     k = args.attribute
     if not 0 <= k < pipeline.model.n_attributes:
         raise ConfigInvalid(f"attribute {k} out of range")
-    check_finite_rows(args.latents, latents)
     target = args.target
     if args.raw:
         try:

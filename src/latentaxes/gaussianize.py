@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, OutOfDomain, TooFewSamples
 from .npyio import read_matrix, write_matrix
 
+MIN_SAMPLES = 2  # fewest samples per attribute a transform is built on
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = 2.50662827463100050242E0
 _EXP_M2 = 0.13533528323661269189  # exp(-2), where the tails begin
@@ -113,8 +114,8 @@ class AttributeTransform:
 
 def fit_transform(attrs: np.ndarray) -> AttributeTransform:
     attrs = np.asarray(attrs, dtype=np.float64)
-    if attrs.ndim != 2 or attrs.shape[0] < 2:
-        raise TooFewSamples("need a 2-D matrix with at least 2 rows")
+    if attrs.ndim != 2 or attrs.shape[0] < MIN_SAMPLES:
+        raise TooFewSamples(f"need a 2-D matrix with at least {MIN_SAMPLES} rows")
     return AttributeTransform(tables=np.sort(attrs.T, axis=1))
 
 
@@ -177,6 +178,10 @@ def save_transform(t: AttributeTransform, directory) -> None:
 
 def load_transform(directory, k=None) -> AttributeTransform:
     """The transform ``save_transform`` wrote; a table count other than
-    ``k``, the model's K where given, is a DimensionMismatch naming the file."""
-    return AttributeTransform(tables=read_matrix(
-        Path(directory) / "attr_tables.npy", (k, None), "model_meta.json"))
+    ``k``, the model's K where given, is a DimensionMismatch and fewer than
+    MIN_SAMPLES samples a TooFewSamples, each naming the file."""
+    path = Path(directory) / "attr_tables.npy"
+    t = AttributeTransform(read_matrix(path, (k, None), "model_meta.json"))
+    if t.n < MIN_SAMPLES:
+        raise TooFewSamples(f"{path}: sample count {t.n} is below {MIN_SAMPLES}")
+    return t

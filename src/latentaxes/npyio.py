@@ -1,7 +1,7 @@
 """`.npy` v1.0 reader/writer for dense 2-D float matrices, through
-`numpy.lib.format`, each read checked against the shape its caller expects,
-the checks of what is read, and the checked reader of the JSON metadata
-files that sit beside them in a workspace.
+`numpy.lib.format`, each read checked against the shape its caller expects
+and for a NaN or infinity, and the checked reader of the JSON metadata files
+that sit beside them in a workspace.
 
 Only the subset needed for latent/attribute interchange is supported:
 version 1.0, little-endian float32/float64, C-order, rank 2. Anything else
@@ -30,7 +30,8 @@ def read_matrix(path, want=(None, None), source="") -> np.ndarray:
     """Read a 2-D float .npy file, promoting values to float64; a <f8
     payload is read straight into the result. A header shape other than
     ``want``, where None matches any length, is a DimensionMismatch naming
-    the file and ``source``, what gives that shape."""
+    the file and ``source``, what gives that shape; a NaN or infinity is a
+    NonFinite naming the file and the row."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise BadNpyFile(f"{path}: not a .npy file")
@@ -65,39 +66,36 @@ def read_matrix(path, want=(None, None), source="") -> np.ndarray:
         data = np.empty(shape, dtype=dtype)
         if fh.readinto(data) != expected:
             raise BadNpyFile(f"{path}: payload shorter than {expected} bytes")
+    check_finite_rows(f"{path}: data", data)
     return data.astype(np.float64, copy=False)
 
 
 def write_matrix(matrix: np.ndarray, path) -> None:
-    """Write a 2-D matrix as .npy v1.0, dtype <f8, C-order."""
+    """Write a 2-D finite matrix as .npy v1.0, dtype <f8, C-order."""
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected 2-D matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise NonFinite("matrix contains NaN or infinity")
+    check_finite_rows(f"{path}: data", m)
     with open(path, "wb") as fh:
         npy_format.write_array(fh, m, version=(1, 0))
 
 
 def load_dataset(latent_path, attr_path, m=None, k=None, source=""):
     """Paired latents (n x m) and attributes (n x K): the latents fix n, and
-    ``source`` fixes m and K where they are given. A row of either that
-    holds a NaN or infinity is a NonFinite naming the file and the row."""
+    ``source`` fixes m and K where they are given."""
     latents = read_matrix(latent_path, (None, m), source)
     name = Path(latent_path).name
-    attrs = read_matrix(attr_path, (latents.shape[0], k),
-                        f"{name} with {source}" if source else name)
-    for path, matrix in ((latent_path, latents), (attr_path, attrs)):
-        check_finite_rows(f"{path}: data", matrix)
-    return latents, attrs
+    return latents, read_matrix(attr_path, (latents.shape[0], k),
+                                f"{name} with {source}" if source else name)
 
 
 def check_finite_rows(name: str, arr: np.ndarray) -> None:
     """NonFinite naming ``name`` and the first row of ``arr`` (an element,
     if ``arr`` is 1-D) that holds a NaN or infinity."""
-    bad = ~np.isfinite(arr)
-    if bad.ndim > 1:
-        bad = bad.any(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(arr.sum()):  # finite only if every entry is
+            return
+    bad = ~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
     if bad.any():
         raise NonFinite(f"{name} row {np.argmax(bad)} is not finite")
 

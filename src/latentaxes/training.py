@@ -37,7 +37,6 @@ from .npyio import (check_finite_rows, check_keys, read_matrix,
 
 STEP_DTYPE = np.float32  # of each training step's forward and backward
 VAR_EPS = 1e-8  # variance guard in the correlation denominator
-MIN_CORR_BATCH = 32  # fewest rows per batch the correlation loss is fed
 
 CORR_NONE = "none"          # variant A
 CORR_DATABASE = "database"  # variant B
@@ -65,6 +64,10 @@ class TrainConfig:
     seed: int = 0
     hidden_size: int = 512
     n_layers: int = 8
+
+    @property
+    def min_batch(self) -> int:  # 32 rows where the correlation loss is fed
+        return 2 if self.corr_mode == CORR_NONE else 32
 
 
 def loss_recons(w: np.ndarray, w_hat: np.ndarray) -> float:
@@ -192,7 +195,6 @@ def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
 def check_config(cfg: TrainConfig, where: str = "") -> None:
     """Refuse a config ``train`` cannot run with: a ConfigInvalid naming
     ``where`` and the first field out of range."""
-    min_batch = 2 if cfg.corr_mode == CORR_NONE else MIN_CORR_BATCH
     for name, valid, rule in (  # NaN fails every comparison
             ("epochs", cfg.epochs >= 1, ">= 1"),
             ("hidden_size", cfg.hidden_size >= 1, ">= 1"),
@@ -202,8 +204,8 @@ def check_config(cfg: TrainConfig, where: str = "") -> None:
             ("beta", 0 <= cfg.beta < np.inf, "finite and >= 0"),
             ("seed", cfg.seed >= 0, ">= 0"),
             ("corr_mode", cfg.corr_mode in CORR_MODES, f"one of {CORR_MODES}"),
-            ("batch_size", cfg.batch_size >= min_batch,
-             f">= {min_batch} under corr_mode {cfg.corr_mode!r}")):
+            ("batch_size", cfg.batch_size >= cfg.min_batch,
+             f">= {cfg.min_batch} under corr_mode {cfg.corr_mode!r}")):
         if not valid:
             raise ConfigInvalid(f"{where}{name} {getattr(cfg, name)!r} is not {rule}")
 
@@ -224,8 +226,6 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
         raise DimensionMismatch("latents/attributes must be aligned 2-D arrays")
     n, d = x.shape
     k = a.shape[1]
-    if n == 0:
-        raise ConfigInvalid("empty dataset")
     check_finite_rows("latents_top", x)
     check_finite_rows("attrs_gauss", a)
     if d <= k:
@@ -233,10 +233,9 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
     # A shorter last batch is topped up with the rows before it, so the
     # correlation loss never sees a short tail (on 2 rows every correlation
     # is +-1) and an epoch keeps ceil(n / batch_size) steps.
-    min_batch = 2 if cfg.corr_mode == CORR_NONE else MIN_CORR_BATCH
-    if n < min_batch:
+    if n < cfg.min_batch:
         raise ConfigInvalid(f"corr_mode {cfg.corr_mode!r} needs at least "
-                            f"{min_batch} rows, but the dataset has {n}")
+                            f"{cfg.min_batch} rows, but the dataset has {n}")
 
     if cfg.corr_mode == CORR_IDENTITY:
         gamma = np.eye(k)
@@ -264,8 +263,8 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
         count = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            if idx.size < min_batch:
-                idx = order[-min_batch:]
+            if idx.size < cfg.min_batch:
+                idx = order[-cfg.min_batch:]
             for net, work_net in zip(nets, work_nets):
                 work_net.flat[:] = net.flat
             try:

@@ -132,7 +132,7 @@ def test_edit_refuses_a_non_finite_latent_row(workspace, tmp_path, capsys):
     np.save(src, latents)
     assert run("edit", "--workspace", workspace, "--latents", src,
                "--attribute", 1, "--target", "1.2", "--out", out) == cli.NUMERIC_ERROR
-    assert (f"numeric failure: {src} row 2 is not finite"
+    assert (f"numeric failure: {src}: data row 2 is not finite"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -318,6 +318,68 @@ def test_evaluate_refuses_every_workspace_matrix_one_row_or_column_short(
                 wrong.append((name, cut, code, err))
         (ws / name).write_bytes(original)
     assert not wrong
+
+
+# the workspace files train reads
+TRAIN_READS = {"latents.npy", "attrs.npy", "attr_tables.npy", "pca_mean.npy",
+               "pca_basis.npy", "pca_eigenvalues.npy"}
+
+
+def test_every_workspace_matrix_with_a_nan_or_infinity_is_refused(
+        workspace, tmp_path, capsys):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    names = sorted(path.name for path in ws.glob("*.npy"))
+    assert TRAIN_READS | {"enc_b0.npy", "world_mix.npy"} <= set(names)
+    capsys.readouterr()
+    wrong = []
+    for name in names:
+        original = (ws / name).read_bytes()
+        matrix = npyio.read_matrix(ws / name)
+        row = matrix.shape[0] // 2
+        commands = {"evaluate": (("--n", 16), "report.json")}
+        if name in TRAIN_READS:
+            commands["train"] = (("--epochs", 1, "--hidden-size", 8,
+                                  "--n-layers", 2), "model_meta.json")
+        for bad in (np.nan, np.inf):
+            corrupt = matrix.copy()
+            corrupt[row, -1] = bad
+            np.save(ws / name, corrupt)  # write_matrix would refuse it
+            for command, (flags, unwritten) in commands.items():
+                (ws / unwritten).unlink(missing_ok=True)
+                try:
+                    code = run(command, "--workspace", ws, *flags)
+                except Exception as exc:  # the CLI let an error escape
+                    code = f"traceback {exc!r}"
+                err = capsys.readouterr().err
+                if (code != cli.NUMERIC_ERROR or (ws / unwritten).exists()
+                        or f"{ws / name}: data row {row} is not finite" not in err):
+                    wrong.append((name, bad, command, code, err))
+                shutil.copy(workspace / "model_meta.json", ws)  # for train
+        (ws / name).write_bytes(original)
+    assert not wrong
+
+
+@pytest.mark.parametrize("columns", [0, 1])
+@pytest.mark.parametrize("command", ["train", "edit", "evaluate"])
+def test_attribute_tables_of_fewer_than_two_samples_are_refused(
+        workspace, tmp_path, capsys, columns, command):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    tables = ws / "attr_tables.npy"
+    npyio.write_matrix(npyio.read_matrix(tables)[:, :columns], tables)
+    src = tmp_path / "batch.npy"
+    npyio.write_matrix(npyio.read_matrix(ws / "latents.npy")[:3], src)
+    flags, unwritten = {
+        "train": (("--epochs", 1, "--hidden-size", 8, "--n-layers", 2),
+                  ws / "model_meta.json"),
+        "edit": (("--latents", src, "--attribute", 1, "--target", "0.5",
+                  "--raw", "--out", tmp_path / "edited.npy"),
+                 tmp_path / "edited.npy"),
+        "evaluate": (("--n", 16), ws / "report.json")}[command]
+    unwritten.unlink(missing_ok=True)
+    assert run(command, "--workspace", ws, *flags) == cli.DATA_ERROR
+    assert (f"data error: {tables}: sample count {columns} is below 2"
+            in capsys.readouterr().err)
+    assert not unwritten.exists()
 
 
 @pytest.mark.parametrize("corrupt, named", [

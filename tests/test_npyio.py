@@ -100,8 +100,52 @@ def test_unsupported_rank(tmp_path):
 
 
 def test_write_rejects_nonfinite(tmp_path):
-    with pytest.raises(npyio.NonFinite):
-        npyio.write_matrix(np.array([[np.nan]]), tmp_path / "bad.npy")
+    matrix = np.ones((3, 2))
+    matrix[1, 0] = np.nan
+    message = f"{tmp_path / 'bad.npy'}: data row 1 is not finite"
+    with pytest.raises(npyio.NonFinite, match=f"^{re.escape(message)}$"):
+        npyio.write_matrix(matrix, tmp_path / "bad.npy")
+    assert not (tmp_path / "bad.npy").exists()
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_matrix_names_the_file_and_row_of_a_non_finite_value(tmp_path,
+                                                                 dtype, bad):
+    matrix = np.ones((6, 3), dtype=dtype)
+    matrix[[2, 4], 1] = bad
+    np.save(tmp_path / "m.npy", matrix)  # write_matrix would refuse it
+    message = f"{tmp_path / 'm.npy'}: data row 2 is not finite"
+    with pytest.raises(npyio.NonFinite, match=f"^{re.escape(message)}$"):
+        npyio.read_matrix(tmp_path / "m.npy")
+
+
+def test_check_finite_rows_on_a_finite_matrix_makes_no_temporary(traced_peak):
+    # the desk latents' size; the elementwise test makes two n-by-m booleans
+    matrix = np.random.default_rng(3).normal(size=(20000, 32))
+    _, peak = traced_peak(npyio.check_finite_rows, "m", matrix)
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("cells, row", [
+    ([(7, 3, np.nan)], 7), ([(7, 3, np.inf)], 7),
+    ([(9, 0, np.inf), (4, 31, -np.inf)], 4)],  # a NaN sum from two infinities
+    ids=["nan", "inf", "inf-and-minus-inf"])
+def test_check_finite_rows_names_the_first_bad_row(cells, row):
+    matrix = np.random.default_rng(3).normal(size=(20000, 32))
+    for i, j, value in cells:
+        matrix[i, j] = value
+    with pytest.raises(npyio.NonFinite, match=f"^m row {row} is not finite$"):
+        npyio.check_finite_rows("m", matrix)
+
+
+def test_check_finite_rows_passes_a_finite_matrix_whose_sum_overflows():
+    matrix = np.zeros((4, 3))
+    matrix[1, 0] = matrix[2, 2] = 1e308
+    for arr in (matrix, np.array([1e308, 1e308])):
+        with np.errstate(over="ignore"):
+            assert np.isinf(arr.sum())
+        npyio.check_finite_rows("m", arr)
 
 
 def test_write_rejects_a_matrix_that_is_not_2d(tmp_path):

@@ -414,6 +414,20 @@ class TestTrain:
             training.check_config(TrainConfig(batch_size=floor - 1,
                                               corr_mode=mode))
 
+    @pytest.mark.parametrize("mode, floor", [(training.CORR_NONE, 2),
+                                             (training.CORR_IDENTITY, 32)])
+    def test_a_dataset_below_the_batch_floor_is_refused_before_any_step(
+            self, mode, floor, monkeypatch):
+        for name in ("init_params", "backward"):
+            monkeypatch.setattr(training, name, None)
+        cfg = TrainConfig(epochs=1, batch_size=floor, corr_mode=mode,
+                          hidden_size=4, n_layers=2)
+        for n in (0, floor - 1):
+            message = (f"corr_mode '{mode}' needs at least {floor} rows, but "
+                       f"the dataset has {n}")
+            with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+                train(*self.make_data(n=n), cfg)
+
     @pytest.mark.parametrize("which", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_inputs(self, which, bad):
