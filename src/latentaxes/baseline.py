@@ -102,7 +102,8 @@ def linear_edit(w: np.ndarray, unit: np.ndarray, amplitude: float) -> np.ndarray
 @dataclass(frozen=True)
 class LinearEditor:
     """Per-attribute linear directions; the positive-edit search walks fixed
-    step lengths along them through the shared ``editor.first_hit``."""
+    step lengths along them through the shared ``editor.first_hit``, whose
+    (edited, success) it returns."""
 
     units: np.ndarray   # (K, m): row k is attribute k's unit-norm direction
     biases: np.ndarray  # (K,): attribute k's standardized bias b

@@ -140,8 +140,7 @@ def cmd_train(args) -> int:
     training.save_model(model, cfg, ws)
 
     with open(ws / "loss_history.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "recons", "attr",
-                                                "corr", "total"])
+        writer = csv.DictWriter(fh, fieldnames=["epoch", *history[0]])
         writer.writeheader()
         for i, row in enumerate(history):
             writer.writerow({"epoch": i, **row})
@@ -242,8 +241,10 @@ def cmd_evaluate(args) -> int:
     print(f"wrote {out}")
     for name, block in methods.items():
         rates = np.array(block["well_edited_rates"])
-        rate = ("n/a" if np.isnan(rates).all()  # no attribute had a negative
-                else f"{np.nanmean(rates):.3f}")
+        known = np.count_nonzero(~np.isnan(rates))  # attributes with a negative
+        rate = "n/a" if known == 0 else f"{np.nanmean(rates):.3f}"
+        if 0 < known < rates.size:
+            rate += f" over {known} of {rates.size} attributes"
         off = ("n/a" if 0 in block["n_success"]  # unknown, not zero
                else f"{block['off_diagonal_sum']:.3f}")
         print(f"  {name}: mean rate {rate}, off-diagonal sum {off}")

@@ -84,7 +84,7 @@ def search_positive(pipeline: EditPipeline, latents: np.ndarray, k: int,
                     quantile_grid=DEFAULT_AMPLITUDE_QUANTILES):
     """Amplitude search over a batch of k-negative latents: encode once,
     then walk slot-k targets at the quantiles of ``quantile_grid``.
-    Returns (edited (n, m), success (n,), achieved (n,))."""
+    Returns (edited (n, m), success (n,)), as ``first_hit`` does."""
     latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
     code = encode(pipeline, latents)
     targets = inv_norm_cdf(quantile_grid)
@@ -104,16 +104,13 @@ def first_hit(latents: np.ndarray, k: int, classify_fn, threshold: float,
     ``candidate(i, rows)`` returns the i-th of ``n_candidates`` edits, in
     increasing amplitude, of ``latents[rows]``, for an index array ``rows``.
     Each step asks it only for the rows that have not hit yet, and the walk
-    stops once every row has hit. Each row takes the first candidate whose
-    classifier output for attribute k reaches the threshold; a row that
-    never does keeps the candidate with the highest output. Returns
-    (edited, success, achieved).
+    stops once every row has hit. Returns (edited, success): a row takes the
+    first candidate whose classifier output for attribute k reaches the
+    threshold, and a row that never does comes back as its input, bit for
+    bit, with success False.
     """
-    n = latents.shape[0]
-    edited = np.empty_like(latents)
-    achieved = np.full(n, -np.inf)
-    success = np.zeros(n, dtype=bool)
-    rows = np.arange(n)  # still pending
+    edited = latents.copy()
+    rows = np.arange(latents.shape[0])  # still pending
     for i in range(n_candidates):
         if rows.size == 0:
             break
@@ -121,11 +118,9 @@ def first_hit(latents: np.ndarray, k: int, classify_fn, threshold: float,
         out = np.asarray(classify_fn(w_hat), dtype=np.float64)
         if not np.isfinite(out).all():
             raise OracleFailure("classifier returned non-finite values")
-        vals = out[:, k]
-        hit = vals >= threshold
-        keep = hit | (vals > achieved[rows])
-        edited[rows[keep]] = w_hat[keep]
-        achieved[rows[keep]] = vals[keep]
-        success[rows[hit]] = True
+        hit = out[:, k] >= threshold
+        edited[rows[hit]] = w_hat[hit]
         rows = rows[~hit]
-    return edited, success, achieved
+    success = np.ones(latents.shape[0], dtype=bool)
+    success[rows] = False
+    return edited, success

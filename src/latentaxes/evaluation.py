@@ -24,7 +24,10 @@ class EditPairs:
     negatives: np.ndarray   # (n_success, m)
     positives: np.ndarray   # (n_success, m)
     n_negatives: int        # negatives that entered the search
-    n_success: int
+
+    @property
+    def n_success(self) -> int:
+        return self.negatives.shape[0]
 
     @property
     def success_rate(self) -> float:
@@ -36,19 +39,17 @@ class EditPairs:
 def build_edit_pairs(search, classify_fn, sample_fn, k: int, n: int = 1024,
                      threshold: float = 0.9, seed: int = 0) -> EditPairs:
     """Run the per-attribute protocol for any amplitude search
-    search(latents, k, classify_fn, threshold) -> (edited, success, achieved)."""
+    search(latents, k, classify_fn, threshold) -> (edited, success). Every
+    k-negative sample goes through the search, none at all included (with a
+    warning that the rate is undefined); the successful rows form the pairs."""
     latents = np.asarray(sample_fn(n, seed), dtype=np.float64)
     raw = np.asarray(classify_fn(latents), dtype=np.float64)
     negatives = latents[raw[:, k] < 0.5]
     if negatives.shape[0] == 0:
         warnings.warn(f"attribute {k}: no negative samples, rate undefined")
-        empty = np.empty((0, latents.shape[1]))
-        return EditPairs(negatives=empty, positives=empty,
-                         n_negatives=0, n_success=0)
-    edited, success, _ = search(negatives, k, classify_fn, threshold)
+    edited, success = search(negatives, k, classify_fn, threshold)
     return EditPairs(negatives=negatives[success], positives=edited[success],
-                     n_negatives=negatives.shape[0],
-                     n_success=int(success.sum()))
+                     n_negatives=negatives.shape[0])
 
 
 def variation_matrix(pairs_per_attr, classify_fn) -> np.ndarray:

@@ -122,9 +122,10 @@ def test_search_positive_succeeds_on_oracle():
     classify = lambda w: oracle.classify(world, w)
     samples = oracle.sample_w(world, 256, 9)
     neg = samples[classify(samples)[:, 0] < 0.5]
-    edited, success, achieved = editor.search_positive(neg, 0, classify)
+    edited, success = editor.search_positive(neg, 0, classify)
     assert success.mean() >= 0.95
-    assert (achieved[success] >= 0.9).all()
+    assert (classify(edited[success])[:, 0] >= 0.9).all()
+    assert edited[~success].tobytes() == neg[~success].tobytes()
 
 
 def test_save_load_round_trip(tmp_path):

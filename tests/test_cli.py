@@ -230,6 +230,27 @@ def test_evaluate_prints_n_a_when_no_attribute_has_a_negative(tmp_path, capsys):
         assert f"{name}: mean rate n/a, off-diagonal sum n/a" in out
 
 
+def test_evaluate_says_how_many_attributes_its_mean_rate_covers(tmp_path,
+                                                                capsys):
+    # three latents hold no negative of attribute 0, so its rate is
+    # undefined; the mean is over attribute 1 alone
+    ws = tmp_path / "ws"
+    assert run("gen-data", "--workspace", ws, "--n", 400, "--m", 10, "--k", 2,
+               "--q", 3, "--seed", 3) == 0
+    assert run("fit", "--workspace", ws, "--d", 4) == 0
+    assert run("train", "--workspace", ws, "--variant", "A", "--epochs", 2,
+               "--hidden-size", 8, "--n-layers", 2, "--batch-size", 64) == 0
+    with pytest.warns(UserWarning, match="attribute 0: no negative samples"):
+        assert run("evaluate", "--workspace", ws, "--n", 3) == 0
+    out = capsys.readouterr().out
+    for name, block in json.loads((ws / "report.json").read_text())[
+            "methods"].items():
+        rates = block["well_edited_rates"]
+        assert rates[0] is None and rates[1] is not None
+        assert (f"{name}: mean rate {rates[1]:.3f} over 1 of 2 attributes, "
+                "off-diagonal sum n/a") in out
+
+
 def rewrite(name, change):
     """A corruption that replaces the workspace file ``name`` with
     ``change`` of its matrix."""

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latentaxes import baseline, editor, gaussianize, oracle, pca, training
 from latentaxes.errors import OracleFailure, OutOfDomain
@@ -175,20 +178,16 @@ def amplitude_search(edit_at, w, k, classify_fn, threshold=0.9,
     amplitudes, edit_at(w, amplitude) -> edited latent, until the classifier's
     output for attribute k reaches the threshold.
 
-    Returns (edited latent, success flag, achieved raw value). On failure the
-    latent with the highest achieved value is returned.
+    Returns (edited latent, success flag): the first edit that reaches the
+    threshold, or on failure w itself.
     """
     if classify_fn(w)[k] >= 0.5:
         raise ValueError("amplitude search expects a k-negative sample")
-    best_w, best_val = None, -np.inf
     for amplitude in amplitudes:
         w_hat = edit_at(w, amplitude)
-        val = classify_fn(w_hat)[k]
-        if val >= threshold:
-            return w_hat, True, float(val)
-        if val > best_val:
-            best_w, best_val = w_hat, val
-    return best_w, False, float(best_val)
+        if classify_fn(w_hat)[k] >= threshold:
+            return w_hat, True
+    return w, False
 
 
 def ae_edit_at(pipe, k):
@@ -197,13 +196,15 @@ def ae_edit_at(pipe, k):
 
 def assert_rows_match_reference(search_out, negatives, edit_at, k, classify,
                                 threshold, amplitudes):
-    edited, success, achieved = search_out
+    edited, success = search_out
     for i, w in enumerate(negatives):
-        w_hat, ok, val = amplitude_search(edit_at, w, k, classify, threshold,
-                                          amplitudes)
+        w_hat, ok = amplitude_search(edit_at, w, k, classify, threshold,
+                                     amplitudes)
         assert ok == success[i]
-        assert val == pytest.approx(achieved[i], abs=1e-12)
-        np.testing.assert_allclose(w_hat, edited[i], atol=1e-12)
+        if ok:
+            np.testing.assert_allclose(w_hat, edited[i], atol=1e-12)
+        else:  # a row that never hits comes back as its input, bit for bit
+            assert edited[i].tobytes() == w.tobytes()
 
 
 def test_amplitude_search_rejects_positive_sample(setup):
@@ -243,7 +244,7 @@ def test_linear_search_and_reference_agree(linear_setup, monkeypatch):
     world, lin = linear_setup
     classify = lambda w: oracle.classify(world, w)
     samples = oracle.sample_w(world, 256, 26)
-    # the short grid leaves some rows on their best-so-far edit
+    # the short grid leaves some rows unedited
     amplitudes = baseline.DEFAULT_AMPLITUDES[:3]
     monkeypatch.setattr(baseline, "DEFAULT_AMPLITUDES", amplitudes)
     for k in range(3):
@@ -272,7 +273,7 @@ def test_search_classifies_only_pending_rows(setup, linear_setup, search):
         run = lambda w: lin.search_positive(w, 0, recording)
     samples = oracle.sample_w(world, 256, 28)
     negatives = samples[oracle.classify(world, samples)[:, 0] < 0.5]
-    _, success, _ = run(negatives)
+    _, success = run(negatives)
     assert batches[0][0] == len(negatives)
     for (_, pending), (size, _) in zip(batches, batches[1:]):
         assert size == pending
@@ -295,6 +296,85 @@ def test_search_rejects_non_finite_classifier_output(setup, linear_setup, search
         run = lambda w: lin.search_positive(w, 0, nan_for_last_row)
     with pytest.raises(OracleFailure, match="^classifier returned non-finite values$"):
         run(oracle.sample_w(world, 8, 27))
+
+
+@pytest.mark.parametrize("n", [0, 8])
+@pytest.mark.parametrize("search", ["autoencoder", "linear"])
+def test_a_row_that_never_hits_comes_back_as_its_input(setup, linear_setup,
+                                                        search, n):
+    calls = []
+
+    def never(w):  # attribute 0 never reaches the threshold
+        calls.append(len(w))
+        out = oracle.classify(world, w)
+        out[:, 0] = 0.0
+        return out
+
+    if search == "autoencoder":
+        world, pipe, _ = setup
+        run = lambda w: editor.search_positive(pipe, w, 0, never)
+        n_candidates = len(editor.DEFAULT_AMPLITUDE_QUANTILES)
+    else:
+        world, lin = linear_setup
+        run = lambda w: lin.search_positive(w, 0, never)
+        n_candidates = len(baseline.DEFAULT_AMPLITUDES)
+    latents = oracle.sample_w(world, n, 29)
+    edited, success = run(latents)
+    assert success.shape == (n,) and not success.any()
+    assert edited.tobytes() == latents.tobytes()
+    assert not np.shares_memory(edited, latents)
+    # every candidate is tried on every row; an empty batch classifies nothing
+    assert calls == ([n] * n_candidates if n else [])
+
+
+# fake latents for first_hit: column 0 holds the row, column 1 the step of
+# the candidate (-1 for an input row), so the classifier can look both up
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_first_hit_matches_a_per_row_walk(data):
+    n = data.draw(st.integers(0, 6), label="rows")
+    n_candidates = data.draw(st.integers(1, 5), label="candidates")
+    # outputs of attribute 1 at each row and step: rows may rise and fall,
+    # and may never reach the threshold
+    table = data.draw(arrays(np.float64, (n, n_candidates),
+                             elements=st.sampled_from([0.1, 0.5, 0.89, 0.9, 1.0])),
+                      label="table")
+    nan_at = data.draw(st.none() | st.tuples(st.integers(0, max(n - 1, 0)),
+                                             st.integers(0, n_candidates - 1)),
+                       label="nan_at")
+    threshold, k = 0.9, 1
+    latents = np.column_stack([np.arange(n), np.full(n, -1.0)])
+    calls = []
+
+    def candidate(i, rows):
+        return np.column_stack([rows, np.full(len(rows), float(i))])
+
+    def classify(w):
+        rows, steps = w[:, 0].astype(int), w[:, 1].astype(int)
+        calls.append(rows.tolist())
+        out = np.zeros((len(w), 2))
+        out[:, k] = table[rows, steps]
+        if nan_at is not None:
+            out[(rows == nan_at[0]) & (steps == nan_at[1]), k] = np.nan
+        return out
+
+    # the per-row reference: each row's first step at the threshold, if any
+    first = [next((i for i in range(n_candidates) if table[r, i] >= threshold),
+                  None) for r in range(n)]
+    pending = [[r for r in range(n) if first[r] is None or first[r] >= i]
+               for i in range(n_candidates)]
+    if nan_at is not None and nan_at[0] < n and nan_at[0] in pending[nan_at[1]]:
+        with pytest.raises(OracleFailure):
+            editor.first_hit(latents, k, classify, threshold, n_candidates,
+                             candidate)
+        return
+    edited, success = editor.first_hit(latents, k, classify, threshold,
+                                       n_candidates, candidate)
+    np.testing.assert_array_equal(success, [f is not None for f in first])
+    for r in range(n):
+        want = latents[r] if first[r] is None else [r, first[r]]
+        assert edited[r].tobytes() == np.asarray(want, np.float64).tobytes()
+    assert calls == [rows for rows in pending if rows]
 
 
 def test_pipeline_validates_dimensions(setup):

@@ -18,8 +18,7 @@ from latentaxes.evaluation import (
 
 
 def make_pairs(neg, pos):
-    return EditPairs(negatives=neg, positives=pos,
-                     n_negatives=len(neg), n_success=len(neg))
+    return EditPairs(negatives=neg, positives=pos, n_negatives=len(neg))
 
 
 class TestFrechet:
@@ -67,7 +66,7 @@ class TestVariationMatrix:
 
     def test_empty_row_is_nan(self):
         w = np.random.default_rng(5).normal(size=(8, 4))
-        empty = EditPairs(np.empty((0, 4)), np.empty((0, 4)), 5, 0)
+        empty = EditPairs(np.empty((0, 4)), np.empty((0, 4)), 5)
         classify = lambda x: np.abs(np.tanh(x[:, :2]))
         mat = variation_matrix([make_pairs(w, w), empty], classify)
         assert np.isnan(mat[1]).all()
@@ -120,8 +119,7 @@ class TestIdentity:
 
 
 def always_succeeds(latents, k, classify_fn, threshold):
-    n = latents.shape[0]
-    return latents + 10.0, np.ones(n, bool), np.full(n, 0.95)
+    return latents + 10.0, np.ones(latents.shape[0], bool)
 
 
 class TestBuildEditPairs:
@@ -136,9 +134,17 @@ class TestBuildEditPairs:
     def test_no_negatives_warns(self):
         classify = lambda w: np.full((w.shape[0], 1), 0.99)
         sample = lambda n, s: np.random.default_rng(s).normal(size=(n, 4))
-        with pytest.warns(UserWarning):
-            pairs = build_edit_pairs(always_succeeds, classify, sample,
-                                     k=0, n=50, seed=2)
+        searched = []
+
+        def search(latents, k, classify_fn, threshold):
+            searched.append(latents.shape)
+            return always_succeeds(latents, k, classify_fn, threshold)
+
+        with pytest.warns(UserWarning, match="attribute 0: no negative samples"):
+            pairs = build_edit_pairs(search, classify, sample, k=0, n=50, seed=2)
+        assert searched == [(0, 4)]  # the empty batch goes through the search
+        assert pairs.negatives.shape == pairs.positives.shape == (0, 4)
+        assert pairs.n_negatives == pairs.n_success == 0
         assert np.isnan(pairs.success_rate)
 
     def test_seeded_reproducible(self):
@@ -167,11 +173,11 @@ class TestScoreMethod:
         return np.random.default_rng(seed).normal(size=(n, self.M))
 
     def search(self, latents, k, classify_fn, threshold):
-        edited = latents.copy()
-        edited[:, k] = 3.0
         success = np.zeros(latents.shape[0], bool)
         success[:{0: latents.shape[0], 1: self.M, 2: 0}[k]] = True
-        return edited, success, classify_fn(edited)[:, k]
+        edited = latents.copy()
+        edited[success, k] = 3.0
+        return edited, success
 
     def test_unknown_figures(self):
         embed = lambda w: w

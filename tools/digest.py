@@ -1,0 +1,56 @@
+"""Print a sha256 digest of every file a fixed run leaves in a workspace.
+
+    python3 tools/digest.py WORKSPACE
+
+Run from the root of a source checkout; the package is imported from
+``src/`` and the benchmark's ``build_workspace`` from ``perfbench/``. The
+script builds the benchmark's desk workspace in WORKSPACE (gen-data, fit and
+train at the pinned seeds, 2 epochs; WORKSPACE is emptied first), then runs
+
+    latentaxes evaluate --workspace WORKSPACE --n 1024 --csv --seed 100
+    latentaxes edit --workspace WORKSPACE --latents WORKSPACE/edit_in.npy \\
+        --attribute 2 --target 1.5 --out WORKSPACE/edited.npy
+
+on the first 300 rows of ``latents.npy``, and prints one ``<sha256>  <file>``
+line per file, sorted by name. Two checkouts gave bit-identical outputs when
+their lines match; ``report.json`` records the workspace path, so run both
+on the same path and the same machine.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from workloads import DESK, EVAL_SEED, build_workspace, cli_run  # noqa: E402
+
+EDIT_ROWS = 300
+
+
+def run(argv):
+    code, text = cli_run(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited with {code}: {text.strip()}")
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    ws = Path(argv[0]).resolve()
+    build_workspace(ws, DESK)
+    run(["evaluate", "--workspace", ws, "--n", DESK.eval_n, "--csv",
+         "--seed", EVAL_SEED])
+    np.save(ws / "edit_in.npy", np.load(ws / "latents.npy")[:EDIT_ROWS])
+    run(["edit", "--workspace", ws, "--latents", ws / "edit_in.npy",
+         "--attribute", 2, "--target", 1.5, "--out", ws / "edited.npy"])
+    for path in sorted(ws.iterdir()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
