@@ -10,9 +10,8 @@ so a full run is:
     latentaxes evaluate --workspace ws --n 1024
 
 Options may come from a JSON config file (--config); explicit flags win.
-`evaluate` fits the linear baseline on one worker thread while it scores the
-autoencoder; the report is the one the two would give run one after the
-other, and there is no setting for it.
+`evaluate` fits the linear baseline before it scores either method, so an
+attribute the baseline cannot fit is refused before any search.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 
@@ -21,7 +20,6 @@ import csv
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -202,9 +200,9 @@ def cmd_evaluate(args) -> int:
         if have != want:
             raise DimensionMismatch(f"the world has {have} {what} but the model "
                                     f"{want}: run fit and train again")
-    latents, attrs = load_dataset(ws / "latents.npy", ws / "attrs.npy",
-                                  world.dim, world.n_attributes,
-                                  "world_attr_directions.npy")
+    linear = baseline.fit_all_directions(*load_dataset(
+        ws / "latents.npy", ws / "attrs.npy", world.dim, world.n_attributes,
+        "world_attr_directions.npy"))
 
     classify = lambda w: oracle.classify(world, w)
     embed = lambda w: oracle.embed_identity(world, w)
@@ -212,17 +210,9 @@ def cmd_evaluate(args) -> int:
     score = lambda search: evaluation.score_method(
         search, classify, embed, sampler, world.n_attributes, args.n,
         args.threshold, args.seed)
-    # the baseline fit never reads the autoencoder's scores, so it runs on a
-    # worker meanwhile; the worker is joined before anything is raised, and a
-    # fit error comes first, as if the fit had run first
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        fitting = pool.submit(baseline.fit_all_directions, latents, attrs)
-        try:
-            methods = {"autoencoder": score(functools.partial(
-                editor.search_positive, pipeline))}
-        finally:
-            linear = fitting.result()
-    methods["linear"] = score(linear.search_positive)
+    methods = {"autoencoder": score(functools.partial(editor.search_positive,
+                                                      pipeline)),
+               "linear": score(linear.search_positive)}
     if args.csv:
         for name, block in methods.items():
             np.savetxt(ws / f"variation_{name}.csv", block["variation_matrix"],

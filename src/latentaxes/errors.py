@@ -29,10 +29,6 @@ class SingleClass(LatentAxesError):
     """Binary fit requires both classes to be present."""
 
 
-class NotConverged(LatentAxesError):
-    """Iterative fit reached its iteration cap before its tolerance."""
-
-
 class ConfigInvalid(LatentAxesError):
     """Training or run configuration violates a precondition."""
 

@@ -9,7 +9,6 @@ real network share the same code path.
 """
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +39,11 @@ def build_edit_pairs(search, classify_fn, sample_fn, k: int, n: int = 1024,
                      threshold: float = 0.9, seed: int = 0) -> EditPairs:
     """Run the per-attribute protocol for any amplitude search
     search(latents, k, classify_fn, threshold) -> (edited, success). Every
-    k-negative sample goes through the search, none at all included (with a
-    warning that the rate is undefined); the successful rows form the pairs."""
+    k-negative sample goes through the search, none at all included (the
+    rate is then undefined); the successful rows form the pairs."""
     latents = np.asarray(sample_fn(n, seed), dtype=np.float64)
     raw = np.asarray(classify_fn(latents), dtype=np.float64)
     negatives = latents[raw[:, k] < 0.5]
-    if negatives.shape[0] == 0:
-        warnings.warn(f"attribute {k}: no negative samples, rate undefined")
     edited, success = search(negatives, k, classify_fn, threshold)
     return EditPairs(negatives=negatives[success], positives=edited[success],
                      n_negatives=negatives.shape[0])

@@ -1,7 +1,6 @@
 import functools
 import json
 import shutil
-import threading
 import warnings
 from dataclasses import asdict
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from latentaxes import baseline, cli, editor, evaluation, npyio, oracle, training
-from latentaxes.errors import ConfigInvalid, NonPSD, OracleFailure, SingleClass
+from latentaxes.errors import ConfigInvalid, NonPSD
 
 
 def run(*argv):
@@ -224,7 +223,7 @@ def test_evaluate_prints_n_a_when_no_attribute_has_a_negative(tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run("evaluate", "--workspace", ws, "--n", 1, "--seed", 7) == 0
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not caught
     out = capsys.readouterr().out
     for name in ("autoencoder", "linear"):
         assert f"{name}: mean rate n/a, off-diagonal sum n/a" in out
@@ -240,8 +239,10 @@ def test_evaluate_says_how_many_attributes_its_mean_rate_covers(tmp_path,
     assert run("fit", "--workspace", ws, "--d", 4) == 0
     assert run("train", "--workspace", ws, "--variant", "A", "--epochs", 2,
                "--hidden-size", 8, "--n-layers", 2, "--batch-size", 64) == 0
-    with pytest.warns(UserWarning, match="attribute 0: no negative samples"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run("evaluate", "--workspace", ws, "--n", 3) == 0
+    assert not caught
     out = capsys.readouterr().out
     for name, block in json.loads((ws / "report.json").read_text())[
             "methods"].items():
@@ -463,9 +464,7 @@ def set_attrs(ws, row, col, value):
 @pytest.mark.parametrize("break_fit, code, named", [
     (lambda ws, mp: set_attrs(ws, slice(None), 1, 0.2),  # every label 0
      cli.DATA_ERROR, "attribute 1: both classes must be present"),
-    (lambda ws, mp: mp.setattr(baseline, "FIT_MAX_ITER", 1),
-     cli.DATA_ERROR, "attribute 0: no convergence in 1 Newton steps"),
-], ids=["single-class", "iteration-cap"])
+], ids=["single-class"])
 def test_evaluate_names_the_attribute_the_baseline_cannot_fit(
         workspace, tmp_path, capsys, monkeypatch, break_fit, code, named):
     ws = shutil.copytree(workspace, tmp_path / "ws")
@@ -492,8 +491,7 @@ def test_a_non_finite_attribute_is_refused_naming_the_file_and_row(
 
 
 def test_evaluate_report_equals_the_serially_built_report(workspace, tmp_path):
-    # evaluate fits the baseline on a worker while it scores the autoencoder;
-    # the report must be the one built from the same pieces in one thread
+    # the report must be the one built from the same pieces called directly
     ws = shutil.copytree(workspace, tmp_path / "ws")
     argv = ["evaluate", "--workspace", ws, "--n", 128, "--seed", 3]
     assert run(*argv) == 0
@@ -518,57 +516,17 @@ def test_evaluate_report_equals_the_serially_built_report(workspace, tmp_path):
     assert (ws / "report.json").read_text() == json.dumps(report, indent=2)
 
 
-def test_evaluate_raises_a_fit_error_before_a_search_error(
-        workspace, capsys, monkeypatch):
-    # the fit fails only after the autoencoder search has failed: its error
-    # still wins, as when the fit ran first
-    searched, waits = threading.Event(), []
-
-    def search_fails(*args):
-        searched.set()
-        raise OracleFailure("the search failed")
-
-    def fit_fails(*args):
-        waits.append(searched.wait(timeout=10))
-        raise SingleClass("attribute 1: both classes must be present")
-
-    monkeypatch.setattr(editor, "search_positive", search_fails)
-    monkeypatch.setattr(baseline, "fit_all_directions", fit_fails)
-    threads = threading.active_count()
-    assert run("evaluate", "--workspace", workspace, "--n", 64) == cli.DATA_ERROR
-    err = capsys.readouterr().err
-    assert "data error: attribute 1: both classes must be present" in err
-    assert "the search failed" not in err
-    assert waits == [True]  # the fit failed after the search
-    assert threading.active_count() == threads
-
-
-def test_evaluate_raises_a_search_error_after_the_fit_ends(
+def test_evaluate_refuses_a_baseline_it_cannot_fit_before_any_search(
         workspace, tmp_path, capsys, monkeypatch):
     ws = shutil.copytree(workspace, tmp_path / "ws")
-    searched, fitted = threading.Event(), threading.Event()
-    fit = baseline.fit_all_directions
-
-    def search_fails(*args):
-        searched.set()
-        raise OracleFailure("the search failed")
-
-    def slow_fit(*args):  # ends only after the search has failed
-        assert searched.wait(timeout=10)
-        linear = fit(*args)
-        fitted.set()
-        return linear
-
-    monkeypatch.setattr(editor, "search_positive", search_fails)
-    monkeypatch.setattr(baseline, "fit_all_directions", slow_fit)
-    threads = threading.active_count()
+    set_attrs(ws, slice(None), 1, 0.2)  # every label 0
+    searched = []
+    monkeypatch.setattr(editor, "search_positive",
+                        lambda *args: searched.append(args))
     assert run("evaluate", "--workspace", ws, "--n", 64) == cli.DATA_ERROR
-    assert fitted.is_set()  # the worker was joined before the error came out
-    assert "data error: the search failed" in capsys.readouterr().err
-    assert threading.active_count() == threads
-    monkeypatch.undo()
-    assert run("evaluate", "--workspace", ws, "--n", 64) == 0
-    assert threading.active_count() == threads
+    assert ("data error: attribute 1: both classes must be present"
+            in capsys.readouterr().err)
+    assert searched == []
 
 
 @pytest.mark.parametrize("gen_flags, message", [

@@ -46,7 +46,7 @@ def caught_names(tree) -> list:
 
 
 def test_errors_defines_every_class_of_the_package():
-    assert len(ERROR_CLASSES) == 12
+    assert len(ERROR_CLASSES) == 11
     for path in MODULES:
         if path.name == "errors.py":
             assert sorted(class_names(path.read_text())) == ERROR_CLASSES

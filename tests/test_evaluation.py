@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -140,7 +141,8 @@ class TestBuildEditPairs:
             searched.append(latents.shape)
             return always_succeeds(latents, k, classify_fn, threshold)
 
-        with pytest.warns(UserWarning, match="attribute 0: no negative samples"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             pairs = build_edit_pairs(search, classify, sample, k=0, n=50, seed=2)
         assert searched == [(0, 4)]  # the empty batch goes through the search
         assert pairs.negatives.shape == pairs.positives.shape == (0, 4)

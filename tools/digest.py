@@ -12,12 +12,16 @@ train at the pinned seeds, 2 epochs; WORKSPACE is emptied first), then runs
         --attribute 2 --target 1.5 --out WORKSPACE/edited.npy
 
 on the first 300 rows of ``latents.npy``, and prints one ``<sha256>  <file>``
-line per file, sorted by name. Two checkouts gave bit-identical outputs when
-their lines match; ``report.json`` records the workspace path, so run both
-on the same path and the same machine.
+line per file, sorted by name, then one ``<sha256>  report.json:<method>``
+line per method block of the report (its JSON, as ``json.dumps`` writes it
+with sorted keys), so that a change confined to one method shows the other
+bit-identical. Two checkouts gave bit-identical outputs when their lines
+match; ``report.json`` records the workspace path, so run both on the same
+path and the same machine.
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -49,6 +53,10 @@ def main(argv) -> int:
          "--attribute", 2, "--target", 1.5, "--out", ws / "edited.npy"])
     for path in sorted(ws.iterdir()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    methods = json.loads((ws / "report.json").read_text())["methods"]
+    for name, block in methods.items():
+        text = json.dumps(block, sort_keys=True).encode()
+        print(f"{hashlib.sha256(text).hexdigest()}  report.json:{name}")
     return 0
 
 
