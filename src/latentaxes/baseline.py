@@ -23,29 +23,29 @@ DEFAULT_AMPLITUDES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
 FIT_L2 = 1e-3  # ridge weight on the standardized coefficients w
 
 
-def linear_edit(w: np.ndarray, unit: np.ndarray, amplitude: float) -> np.ndarray:
+def linear_edit(w: np.ndarray, unit: np.ndarray,
+                amplitude: float | np.ndarray) -> np.ndarray:  # one, or per row
     w = np.asarray(w, dtype=np.float64)
     if w.shape[-1] != unit.shape[0]:
         raise DimensionMismatch("latent/direction dims differ")
-    return w + amplitude * unit
+    return w + np.multiply.outer(amplitude, unit)
 
 
 @dataclass(frozen=True)
 class LinearEditor:
-    """Per-attribute linear directions; the positive-edit search walks fixed
-    step lengths along them through the shared ``editor.first_hit``, whose
-    (edited, success) it returns."""
+    """Per-attribute linear directions; the positive-edit search bisects
+    fixed step lengths along them through the shared ``editor.first_hit``,
+    whose (edited, success) it returns."""
 
     units: np.ndarray  # (K, m): row k is attribute k's unit-norm direction
 
     def search_positive(self, latents: np.ndarray, k: int, classify_fn,
                         threshold: float = 0.9):
         latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
-        unit = self.units[k]
-        return first_hit(latents, k, classify_fn, threshold,
-                         len(DEFAULT_AMPLITUDES),
-                         lambda i, rows: linear_edit(latents[rows], unit,
-                                                     DEFAULT_AMPLITUDES[i]))
+        unit, steps = self.units[k], np.asarray(DEFAULT_AMPLITUDES)
+        return first_hit(latents, k, classify_fn, threshold, len(steps),
+                         lambda idx, rows: linear_edit(latents[rows], unit,
+                                                       steps[idx]))
 
 
 def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEditor:
@@ -54,7 +54,8 @@ def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEdit
     unit norm. The centred covariance is summed over BLOCK_ROWS-row blocks,
     so no n-by-m temporary is made, and each attribute's cross-covariance
     over the same blocks, so that every direction has the bits of its fit
-    alone. A constant column (sigma 0) gets sigma 1 and a zero weight. Bad
+    alone. A constant column gets sigma 1 and a zero weight; it is found by
+    its own max and min, as its centred values may be a few ulps off 0. Bad
     shapes and non-finite latents are refused before any fit; an attribute
     with a non-finite score, or whose scores all fall on one side of 0.5, is
     refused naming it.
@@ -73,7 +74,7 @@ def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEdit
         xc = x[b] - mu
         cov += xc.T @ xc
     sigma = np.sqrt(np.diag(cov) / n)
-    sigma[sigma == 0] = 1.0
+    sigma[x.max(axis=0) == x.min(axis=0)] = 1.0
     system = cov / n / np.outer(sigma, sigma) + FIT_L2 * np.eye(m)
     units = np.empty((raw_attrs.shape[1], m))
     for k, col in enumerate(raw_attrs.T):

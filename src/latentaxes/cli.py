@@ -222,7 +222,8 @@ def cmd_evaluate(args) -> int:
         config={k: v for k, v in vars(args).items()
                 if isinstance(v, (str, int, float, bool, type(None)))},
         seeds={"evaluate": args.seed, "world": world.seed},
-        amplitude_grid=editor.DEFAULT_AMPLITUDE_QUANTILES,
+        amplitude_grid=editor.AMPLITUDE_QUANTILES,
+        linear_amplitudes=baseline.DEFAULT_AMPLITUDES,
         threshold=args.threshold,
         methods=methods,
     )
@@ -235,9 +236,11 @@ def cmd_evaluate(args) -> int:
         rate = "n/a" if known == 0 else f"{np.nanmean(rates):.3f}"
         if 0 < known < rates.size:
             rate += f" over {known} of {rates.size} attributes"
-        off = ("n/a" if 0 in block["n_success"]  # unknown, not zero
-               else f"{block['off_diagonal_sum']:.3f}")
-        print(f"  {name}: mean rate {rate}, off-diagonal sum {off}")
+        unknown = 0 in block["n_success"]  # unknown, not zero
+        off = "n/a" if unknown else f"{block['off_diagonal_sum']:.3f}"
+        identity = "n/a" if unknown else f"{block['identity_similarity']:.4f}"
+        print(f"  {name}: mean rate {rate}, off-diagonal sum {off}, "
+              f"identity {identity}")
     return 0
 
 

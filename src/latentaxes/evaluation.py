@@ -145,11 +145,13 @@ def score_method(search, classify_fn, embed_fn, sample_fn, n_attributes: int,
     }
 
 
-def make_report(config, seeds, amplitude_grid, threshold, methods) -> dict:
+def make_report(config, seeds, amplitude_grid, threshold, methods,
+                linear_amplitudes=None) -> dict:
     """Assemble the machine-readable evaluation report.
 
     ``methods`` maps method name -> its score_method block; arrays become
-    lists and NaN becomes null.
+    lists and NaN becomes null. ``amplitude_grid`` names the autoencoder
+    search's quantiles, ``linear_amplitudes`` the linear search's steps.
     """
     def clean(value):
         if isinstance(value, np.ndarray):
@@ -167,6 +169,7 @@ def make_report(config, seeds, amplitude_grid, threshold, methods) -> dict:
         "config": config,
         "seeds": seeds,
         "amplitude_grid": clean(amplitude_grid),
+        "linear_amplitudes": clean(linear_amplitudes),
         "threshold": threshold,
         "methods": {name: {key: clean(value) for key, value in block.items()}
                     for name, block in methods.items()},

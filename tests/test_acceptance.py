@@ -22,9 +22,6 @@ from latentaxes.training import EncoderDecoder, TrainConfig, backward, \
 DESK = dict(m=32, k=5, q=8, n=20000, d=16)
 DESK_CFG = dict(alpha=1.0, beta=0.5, epochs=150, batch_size=256,
                 learning_rate=1e-3, hidden_size=128, n_layers=4, seed=1)
-AMPLITUDE_GRID = tuple(np.concatenate([
-    np.arange(0.55, 0.95, 0.02),
-    [0.95, 0.96, 0.97, 0.98, 0.99, 0.995, 0.999, 0.9995]]))
 
 
 def announce(criterion, passed, detail=""):
@@ -76,8 +73,7 @@ def edit_pairs_all(run, search, n=1024):
 
 
 def ae_search(pipe):
-    return functools.partial(editor.search_positive, pipe,
-                             quantile_grid=AMPLITUDE_GRID)
+    return functools.partial(editor.search_positive, pipe)
 
 
 def held_out_max_offdiag(run, seed=99):
@@ -284,7 +280,7 @@ def test_criterion_8_determinism(tmp_path):
             threshold=0.9, seed=50)
         report = evaluation.make_report(
             config=dict(cfg.__dict__), seeds={"world": 5, "data": 6},
-            amplitude_grid=[float(a) for a in AMPLITUDE_GRID], threshold=0.9,
+            amplitude_grid=editor.AMPLITUDE_QUANTILES, threshold=0.9,
             methods={"autoencoder": block})
         reports.append((model, history, repr(report)))
     m1, h1, r1 = reports[0]

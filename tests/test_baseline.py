@@ -140,11 +140,18 @@ def test_desk_units_lie_along_the_mixed_attribute_directions(seed):
 def test_constant_column_gets_zero_weight():
     rng = np.random.default_rng(22)
     x = rng.normal(size=(400, 3))
-    x[:, 1] = 4.0
     y = (x[:, 0] + 0.5 * x[:, 2] > 0).astype(float)
-    unit = fit_one(x, y)
-    assert np.isfinite(unit).all()
-    assert abs(unit[1]) <= 1e-12
+    x[:, 1] = 4.0
+    exact = fit_one(x, y)
+    assert np.isfinite(exact).all()
+    assert abs(exact[1]) <= 1e-12
+    # constants whose column mean is a few ulps off, so that their centred
+    # values are not exactly 0
+    for value in (0.1, 0.3):
+        x[:, 1] = value
+        unit = fit_one(x, y)
+        np.testing.assert_allclose(unit, exact, rtol=0, atol=1e-12)
+        assert abs(unit[1]) <= 1e-12
 
 
 @pytest.mark.parametrize("which", ["latents", "labels"])

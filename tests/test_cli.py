@@ -175,9 +175,16 @@ def test_edit_raw_target(workspace, tmp_path):
                "--attribute", 0, "--target", "1.5", "--raw") == cli.CONFIG_ERROR
 
 
-def test_evaluate_report_schema(workspace):
+def test_evaluate_report_schema(workspace, capsys):
     assert run("evaluate", "--workspace", workspace, "--n", 128, "--csv") == 0
     report = json.loads((workspace / "report.json").read_text())
+    # every attribute had a success: the console prints each figure
+    lin = report["methods"]["linear"]
+    assert 0 not in lin["n_success"]
+    assert (f"linear: mean rate {np.mean(lin['well_edited_rates']):.3f}, "
+            f"off-diagonal sum {lin['off_diagonal_sum']:.3f}, "
+            f"identity {lin['identity_similarity']:.4f}"
+            in capsys.readouterr().out)
     assert report["schema_version"] == 1
     assert report["threshold"] == 0.9
     assert set(report["methods"]) == {"autoencoder", "linear"}
@@ -207,8 +214,8 @@ def test_evaluate_reports_attributes_without_success(workspace, tmp_path,
     assert ae["off_diagonal_sum"] == pytest.approx(sum(off))
     assert ae["well_edited_rates"] == [s / n for s, n in
                                        zip(ae["n_success"], ae["n_negatives"])]
-    assert "autoencoder: mean rate 0.000, off-diagonal sum n/a" in \
-        capsys.readouterr().out
+    assert ("autoencoder: mean rate 0.000, off-diagonal sum n/a, identity n/a"
+            in capsys.readouterr().out)
 
 
 def test_evaluate_prints_n_a_when_no_attribute_has_a_negative(tmp_path, capsys):
@@ -226,7 +233,8 @@ def test_evaluate_prints_n_a_when_no_attribute_has_a_negative(tmp_path, capsys):
     assert not caught
     out = capsys.readouterr().out
     for name in ("autoencoder", "linear"):
-        assert f"{name}: mean rate n/a, off-diagonal sum n/a" in out
+        assert (f"{name}: mean rate n/a, off-diagonal sum n/a, identity n/a"
+                in out)
 
 
 def test_evaluate_says_how_many_attributes_its_mean_rate_covers(tmp_path,
@@ -249,7 +257,7 @@ def test_evaluate_says_how_many_attributes_its_mean_rate_covers(tmp_path,
         rates = block["well_edited_rates"]
         assert rates[0] is None and rates[1] is not None
         assert (f"{name}: mean rate {rates[1]:.3f} over 1 of 2 attributes, "
-                "off-diagonal sum n/a") in out
+                "off-diagonal sum n/a, identity n/a") in out
 
 
 def rewrite(name, change):
@@ -511,9 +519,11 @@ def test_evaluate_report_equals_the_serially_built_report(workspace, tmp_path):
         config={k: v for k, v in vars(args).items()
                 if isinstance(v, (str, int, float, bool, type(None)))},
         seeds={"evaluate": args.seed, "world": world.seed},
-        amplitude_grid=editor.DEFAULT_AMPLITUDE_QUANTILES,
+        amplitude_grid=editor.AMPLITUDE_QUANTILES,
+        linear_amplitudes=baseline.DEFAULT_AMPLITUDES,
         threshold=args.threshold, methods=methods)
     assert (ws / "report.json").read_text() == json.dumps(report, indent=2)
+    assert report["linear_amplitudes"] == list(baseline.DEFAULT_AMPLITUDES)
 
 
 def test_evaluate_refuses_a_baseline_it_cannot_fit_before_any_search(

@@ -173,7 +173,7 @@ def test_edit_moves_oracle_output_monotonically(setup):
 
 
 def amplitude_search(edit_at, w, k, classify_fn, threshold=0.9,
-                     amplitudes=editor.DEFAULT_AMPLITUDE_QUANTILES):
+                     amplitudes=editor.AMPLITUDE_QUANTILES):
     """Per-sample reference for the batched searches: walk increasing
     amplitudes, edit_at(w, amplitude) -> edited latent, until the classifier's
     output for attribute k reaches the threshold.
@@ -227,10 +227,10 @@ def test_amplitude_search_and_batch_agree(setup, monkeypatch):
     monkeypatch.setattr(editor, "inv_norm_cdf",
                         lambda q: calls.append(q) or gaussianize.inv_norm_cdf(q))
     out = editor.search_positive(pipe, negatives, 0, classify)
-    assert calls == [editor.DEFAULT_AMPLITUDE_QUANTILES]
+    assert calls == [editor.AMPLITUDE_QUANTILES]
     assert_rows_match_reference(
         out, negatives, ae_edit_at(pipe, 0), 0, classify, 0.9,
-        editor.DEFAULT_AMPLITUDE_QUANTILES)
+        editor.AMPLITUDE_QUANTILES)
 
 
 @pytest.fixture(scope="module")
@@ -258,27 +258,37 @@ def test_linear_search_and_reference_agree(linear_setup, monkeypatch):
 
 @pytest.mark.parametrize("search", ["autoencoder", "linear"])
 def test_search_classifies_only_pending_rows(setup, linear_setup, search):
-    batches = []  # per classifier call: (rows, rows below the threshold)
+    hits = []  # per classifier call, in row order: did the row hit
 
     def recording(w):
         out = oracle.classify(world, w)
-        batches.append((len(w), int((out[:, 0] < 0.9).sum())))
+        hits.append(out[:, 0] >= 0.9)
         return out
 
     if search == "autoencoder":
         world, pipe, _ = setup
         run = lambda w: editor.search_positive(pipe, w, 0, recording)
+        n_candidates = len(editor.AMPLITUDE_QUANTILES)
     else:
         world, lin = linear_setup
         run = lambda w: lin.search_positive(w, 0, recording)
+        n_candidates = len(baseline.DEFAULT_AMPLITUDES)
     samples = oracle.sample_w(world, 256, 28)
     negatives = samples[oracle.classify(world, samples)[:, 0] < 0.5]
     _, success = run(negatives)
-    assert batches[0][0] == len(negatives)
-    for (_, pending), (size, _) in zip(batches, batches[1:]):
-        assert size == pending
-    assert batches[-1][0] < len(negatives)
-    assert batches[-1][1] == (~success).sum()
+    # replay the bisection's bounds: a probe holds the rows whose bounds
+    # have not met, in row order
+    lo = np.zeros(len(negatives), dtype=int)
+    hi = np.full(len(negatives), n_candidates)
+    for hit in hits:
+        rows = np.flatnonzero(lo < hi)
+        assert len(hit) == len(rows)
+        mid = (lo[rows] + hi[rows]) // 2
+        hi[rows[hit]], lo[rows[~hit]] = mid[hit], mid[~hit] + 1
+    assert (lo == hi).all()
+    np.testing.assert_array_equal(success, hi < n_candidates)
+    assert success.any() and len(hits[-1]) < len(negatives)
+    assert len(hits) <= np.ceil(np.log2(n_candidates + 1))
 
 
 @pytest.mark.parametrize("search", ["autoencoder", "linear"])
@@ -313,7 +323,7 @@ def test_a_row_that_never_hits_comes_back_as_its_input(setup, linear_setup,
     if search == "autoencoder":
         world, pipe, _ = setup
         run = lambda w: editor.search_positive(pipe, w, 0, never)
-        n_candidates = len(editor.DEFAULT_AMPLITUDE_QUANTILES)
+        n_candidates = len(editor.AMPLITUDE_QUANTILES)
     else:
         world, lin = linear_setup
         run = lambda w: lin.search_positive(w, 0, never)
@@ -323,15 +333,17 @@ def test_a_row_that_never_hits_comes_back_as_its_input(setup, linear_setup,
     assert success.shape == (n,) and not success.any()
     assert edited.tobytes() == latents.tobytes()
     assert not np.shares_memory(edited, latents)
-    # every candidate is tried on every row; an empty batch classifies nothing
-    assert calls == ([n] * n_candidates if n else [])
+    # every probe misses on every row, and each miss keeps floor(c / 2) of
+    # the c = n_candidates + 1 outcomes; an empty batch classifies nothing
+    probes = (n_candidates + 1).bit_length() - 1
+    assert calls == ([n] * probes if n else [])
 
 
 # fake latents for first_hit: column 0 holds the row, column 1 the step of
 # the candidate (-1 for an input row), so the classifier can look both up
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_first_hit_matches_a_per_row_walk(data):
+def test_first_hit_matches_a_per_row_bisection(data):
     n = data.draw(st.integers(0, 6), label="rows")
     n_candidates = data.draw(st.integers(1, 5), label="candidates")
     # outputs of attribute 1 at each row and step: rows may rise and fall,
@@ -346,35 +358,50 @@ def test_first_hit_matches_a_per_row_walk(data):
     latents = np.column_stack([np.arange(n), np.full(n, -1.0)])
     calls = []
 
-    def candidate(i, rows):
-        return np.column_stack([rows, np.full(len(rows), float(i))])
+    def candidate(idx, rows):
+        return np.column_stack([rows, idx]).astype(np.float64)
 
     def classify(w):
         rows, steps = w[:, 0].astype(int), w[:, 1].astype(int)
-        calls.append(rows.tolist())
+        calls.append(list(zip(rows.tolist(), steps.tolist())))
         out = np.zeros((len(w), 2))
         out[:, k] = table[rows, steps]
         if nan_at is not None:
             out[(rows == nan_at[0]) & (steps == nan_at[1]), k] = np.nan
         return out
 
-    # the per-row reference: each row's first step at the threshold, if any
-    first = [next((i for i in range(n_candidates) if table[r, i] >= threshold),
-                  None) for r in range(n)]
-    pending = [[r for r in range(n) if first[r] is None or first[r] >= i]
-               for i in range(n_candidates)]
-    if nan_at is not None and nan_at[0] < n and nan_at[0] in pending[nan_at[1]]:
+    # the per-row reference: each row's probed steps, and its answer, the
+    # final bound (n_candidates: no hit)
+    probes, answer = [], []
+    for r in range(n):
+        lo, hi, probed = 0, n_candidates, []
+        while lo < hi:
+            mid = (lo + hi) // 2
+            probed.append(mid)
+            if table[r, mid] >= threshold:
+                hi = mid
+            else:
+                lo = mid + 1
+        probes.append(probed)
+        answer.append(hi if hi < n_candidates else None)
+    rounds = max(map(len, probes), default=0)
+    assert rounds <= np.ceil(np.log2(n_candidates + 1))
+    if nan_at is not None and nan_at[0] < n and nan_at[1] in probes[nan_at[0]]:
         with pytest.raises(OracleFailure):
             editor.first_hit(latents, k, classify, threshold, n_candidates,
                              candidate)
         return
     edited, success = editor.first_hit(latents, k, classify, threshold,
                                        n_candidates, candidate)
-    np.testing.assert_array_equal(success, [f is not None for f in first])
+    np.testing.assert_array_equal(success, [a is not None for a in answer])
     for r in range(n):
-        want = latents[r] if first[r] is None else [r, first[r]]
+        want = latents[r] if answer[r] is None else [r, answer[r]]
         assert edited[r].tobytes() == np.asarray(want, np.float64).tobytes()
-    assert calls == [rows for rows in pending if rows]
+        if (np.diff(table[r]) >= 0).all():  # never falls: the walk's answer
+            first = np.flatnonzero(table[r] >= threshold)
+            assert answer[r] == (first[0] if first.size else None)
+    assert calls == [[(r, p[t]) for r, p in enumerate(probes) if len(p) > t]
+                     for t in range(rounds)]
 
 
 def test_pipeline_validates_dimensions(setup):

@@ -218,6 +218,16 @@ class TestGradients:
         g2 = backward(model, x, attrs, without, None)
         np.testing.assert_allclose(g1[0], g2[0], atol=1e-12)
 
+    def test_a_correlation_term_without_a_reference_is_refused(self, setup):
+        model, x, attrs = setup
+        cfg = TrainConfig(alpha=1.0, beta=0.5, corr_mode=training.CORR_IDENTITY)
+        codes, w_hat, _, _ = forward_batch(model, x)
+        message = "^corr_mode set but no reference matrix given$"
+        with pytest.raises(ConfigInvalid, match=message):
+            backward(model, x, attrs, cfg)
+        with pytest.raises(ConfigInvalid, match=message):
+            total_loss(x, w_hat, codes, attrs, cfg)
+
     @pytest.mark.parametrize("call,net", [(0, "decoder"), (1, "encoder")])
     def test_non_finite_gradient_names_net_and_layer(self, setup, monkeypatch,
                                                      call, net):
