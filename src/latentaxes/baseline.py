@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, LatentAxesError, SingleClass
 from .npyio import check_finite_rows, read_matrix, write_matrix
 from .pca import BLOCK_ROWS
 
-DEFAULT_AMPLITUDES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
+DEFAULT_AMPLITUDES = tuple(round(0.1 * i, 1) for i in range(1, 81))
 FIT_L2 = 1e-3  # ridge weight on the standardized coefficients w
 
 

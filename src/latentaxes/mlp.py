@@ -8,8 +8,8 @@ vector operations over the whole net. The forward pass caches each layer's
 input for the backward pass.
 
 A net computes in the dtype of its buffer: float32 when every array it was
-built from is float32, float64 otherwise. Adam's arithmetic runs in the
-dtype of the parameters it updates, whatever the gradient's.
+built from is float32, float64 otherwise; Adam's moments and the gradient
+it takes are in that dtype too.
 """
 
 from dataclasses import dataclass, field
@@ -135,19 +135,16 @@ def adam_init(params: MlpParams) -> AdamState:
 def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,
               lr: float) -> None:
     """Standard Adam update with bias correction, in place, over the whole
-    flat buffer at once, in the dtype of ``params.flat``: a float32 gradient
-    updates float64 parameters in float64. The flat gradient is read, not
-    modified."""
+    flat buffer at once. The flat gradient is read, not modified."""
     state.t += 1
     t = state.t
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
-    dtype = params.flat.dtype
-    step = np.multiply(grad, 1 - ADAM_BETA1, dtype=dtype)
+    step = grad * (1 - ADAM_BETA1)
     m *= ADAM_BETA1
     m += step                       # m = beta1*m + (1-beta1)*g
-    sq = np.square(grad, dtype=dtype)
+    sq = np.square(grad)
     sq *= 1 - ADAM_BETA2
     v *= ADAM_BETA2
     v += sq                         # v = beta2*v + (1-beta2)*g**2

@@ -6,15 +6,11 @@ dimensions to the (gaussianized) attribute values, and an L1 penalty pulling
 the batch Pearson correlation of those K dimensions toward a reference
 matrix. Gradients are derived by hand; the optimizer is Adam.
 
-Precision: ``train`` holds the weights and Adam's moments in float64 and
-returns, saves and loads them in float64. Each training step copies the
-weights into float32 working nets (``STEP_DTYPE``), runs the forward and
-backward passes on those, and Adam updates the float64 weights from the
-float32 gradients in float64 (mixed precision with master weights,
-Micikevicius et al., arXiv:1710.03740). The loss components and the
-correlation kernel are float64. Outside ``train``, every function here
-computes in the dtype of the nets it is given, so gradient checks, editing
-and evaluation of a trained or loaded model run in float64.
+Precision: ``train`` computes and updates in float32 (the nets, their
+gradients and Adam's moments; the loss components and the correlation
+kernel are float64), and it returns a float64 model, which is saved and
+loaded in float64. Outside ``train``, every function here computes in the
+dtype of the nets it is given.
 """
 
 import json
@@ -35,7 +31,6 @@ from .mlp import (
 from .npyio import (check_finite_rows, check_keys, read_matrix,
                     read_meta, write_matrix)
 
-STEP_DTYPE = np.float32  # of each training step's forward and backward
 VAR_EPS = 1e-8  # variance guard in the correlation denominator
 
 CORR_NONE = "none"          # variant A
@@ -213,8 +208,8 @@ def check_config(cfg: TrainConfig, where: str = "") -> None:
 def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
     """Train the autoencoder on pre-projected latents and gaussianized
     attributes. The code has as many slots as the input has coordinates.
-    Deterministic given (config, data). Each step computes in float32 over
-    float64 weights (see the module docstring).
+    Deterministic given (config, data). Computes in float32 (see the module
+    docstring).
 
     Returns (EncoderDecoder, history): the float64 model, and one dict of
     sample-weighted component means per epoch.
@@ -245,15 +240,10 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
         gamma = None
 
     sizes = layer_sizes(d, cfg)
-    model = EncoderDecoder(
-        encoder=init_params(cfg.seed, sizes),
-        decoder=init_params(cfg.seed + 1, sizes),
-        n_attributes=k,
-    )
-    nets = (model.encoder, model.decoder)
+    nets = [init_params(seed, sizes).astype(np.float32)
+            for seed in (cfg.seed, cfg.seed + 1)]
+    model = EncoderDecoder(*nets, n_attributes=k)
     states = [adam_init(net) for net in nets]
-    work_nets = [net.astype(STEP_DTYPE) for net in nets]  # refreshed each step
-    work = EncoderDecoder(*work_nets, n_attributes=k)
     rng = np.random.default_rng(cfg.seed)
 
     history = []
@@ -265,10 +255,8 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
             idx = order[start : start + cfg.batch_size]
             if idx.size < cfg.min_batch:
                 idx = order[-cfg.min_batch:]
-            for net, work_net in zip(nets, work_nets):
-                work_net.flat[:] = net.flat
             try:
-                *grads, comps = backward(work, x[idx], a[idx], cfg, gamma)
+                *grads, comps = backward(model, x[idx], a[idx], cfg, gamma)
             except NonFinite as exc:
                 raise NonFinite(f"epoch {epoch}, batch at position {start} "
                                 f"(first row {idx[0]}): {exc}") from exc
@@ -282,7 +270,8 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
                                 + cfg.alpha * epoch_stats["attr"]
                                 + cfg.beta * epoch_stats["corr"])
         history.append(epoch_stats)
-    return model, history
+    return EncoderDecoder(*(net.astype(np.float64) for net in nets),
+                          n_attributes=k), history
 
 
 def layer_sizes(code_size: int, cfg: TrainConfig) -> list:

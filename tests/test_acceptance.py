@@ -30,14 +30,14 @@ def announce(criterion, passed, detail=""):
     assert passed, f"criterion {criterion}: {detail}"
 
 
-def train_desk(correlated, corr_mode):
+def train_desk(correlated, corr_mode, seed=DESK_CFG["seed"]):
     t0 = time.perf_counter()
     world = oracle.make_world(DESK["m"], DESK["k"], DESK["q"],
                               correlated=correlated, seed=7)
     latents, attrs = oracle.build_dataset(world, DESK["n"], seed=8)
     pm = pca.fit_pca(latents, DESK["d"])
     tr = gaussianize.fit_transform(attrs)
-    cfg = TrainConfig(corr_mode=corr_mode, **DESK_CFG)
+    cfg = TrainConfig(corr_mode=corr_mode, **{**DESK_CFG, "seed": seed})
     model, history = training.train(pca.project(pm, latents).top,
                                     gaussianize.gaussianize_columns(tr, attrs),
                                     cfg)
@@ -207,20 +207,26 @@ def test_criterion_4_gaussianization():
                     f"round-trip {round_trip:.2e} <= resolution {resolution:.2e}")
 
 
+def criterion_5_figures(run):
+    """Criterion 5's figures for a trained desk run: (rate, held-out max
+    off-diagonal, variation off-diagonal, the linear baseline's, identity)."""
+    ae_pairs = edit_pairs_all(run, ae_search(run["pipe"]))
+    embed = lambda w: oracle.embed_identity(run["world"], w)
+    # variation-matrix comparison against the linear baseline
+    classify = lambda w: oracle.classify(run["world"], w)
+    lin = baseline.fit_all_directions(run["latents"], run["attrs"])
+    lin_pairs = edit_pairs_all(run, lin.search_positive)
+    return (float(np.mean([p.success_rate for p in ae_pairs])),
+            held_out_max_offdiag(run),
+            mean_abs_offdiag(evaluation.variation_matrix(ae_pairs, classify)),
+            mean_abs_offdiag(evaluation.variation_matrix(lin_pairs, classify)),
+            float(np.mean([evaluation.identity_similarity(p, embed)
+                           for p in ae_pairs])))
+
+
 def test_criterion_5_end_to_end(corr_c):
     t0 = time.perf_counter()
-    ae_pairs = edit_pairs_all(corr_c, ae_search(corr_c["pipe"]))
-    rate = float(np.mean([p.success_rate for p in ae_pairs]))
-    max_off = held_out_max_offdiag(corr_c)
-    embed = lambda w: oracle.embed_identity(corr_c["world"], w)
-    identity = float(np.mean([evaluation.identity_similarity(p, embed)
-                              for p in ae_pairs]))
-    # variation-matrix comparison against the linear baseline
-    classify_c = lambda w: oracle.classify(corr_c["world"], w)
-    lin = baseline.fit_all_directions(corr_c["latents"], corr_c["attrs"])
-    lin_pairs = edit_pairs_all(corr_c, lin.search_positive)
-    ae_off = mean_abs_offdiag(evaluation.variation_matrix(ae_pairs, classify_c))
-    lin_off = mean_abs_offdiag(evaluation.variation_matrix(lin_pairs, classify_c))
+    rate, max_off, ae_off, lin_off, identity = criterion_5_figures(corr_c)
     elapsed = time.perf_counter() - t0 + corr_c["seconds"]
     ok = (rate >= 0.9 and max_off <= 0.25 and ae_off < lin_off
           and identity >= 0.9 and elapsed <= 600.0)

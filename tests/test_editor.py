@@ -244,8 +244,8 @@ def test_linear_search_and_reference_agree(linear_setup, monkeypatch):
     world, lin = linear_setup
     classify = lambda w: oracle.classify(world, w)
     samples = oracle.sample_w(world, 256, 26)
-    # the short grid leaves some rows unedited
-    amplitudes = baseline.DEFAULT_AMPLITUDES[:3]
+    # the short grid (0.1 to 1.5) leaves some rows unedited
+    amplitudes = baseline.DEFAULT_AMPLITUDES[:15]
     monkeypatch.setattr(baseline, "DEFAULT_AMPLITUDES", amplitudes)
     for k in range(3):
         negatives = samples[classify(samples)[:, k] < 0.5][:20]

@@ -326,12 +326,19 @@ class TestTrain:
                 _seen.append(params.flat.dtype)
                 return _real(params, *args)
             monkeypatch.setattr(training, name, spy)
+        updated = []  # per Adam step: the dtypes of the net and its moments
+
+        def adam_spy(params, grad, state, lr, _real=training.adam_step):
+            updated.append((params.flat.dtype, state.m.dtype, state.v.dtype))
+            return _real(params, grad, state, lr)
+        monkeypatch.setattr(training, "adam_step", adam_spy)
         x, attrs = self.make_data(n=128)
         cfg = TrainConfig(alpha=1.0, beta=0.1, epochs=2, batch_size=64,
                           hidden_size=8, n_layers=3)
         model, history = train(x, attrs, cfg)
         steps = 2 * 2  # two nets a step
         assert seen == {name: [np.float32] * 2 * steps for name in seen}
+        assert updated == [(np.float32,) * 3] * 2 * steps
         for net in (model.encoder, model.decoder):
             assert net.flat.dtype == np.float64
             assert all(a.dtype == np.float64 for a in net.weights + net.biases)
