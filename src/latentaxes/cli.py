@@ -26,7 +26,7 @@ import numpy as np
 
 from . import baseline, editor, evaluation, gaussianize, oracle, pca, training
 from .errors import (ConfigInvalid, DimensionMismatch, LatentAxesError, NonFinite,
-                     NonPSD, OutOfDomain)
+                     NonPSD)
 from .npyio import (check_type, load_dataset, read_json_object, read_matrix,
                     write_matrix)
 
@@ -72,7 +72,8 @@ def _read_config(path, command: CommandParser) -> dict:
     """Option values from the JSON config file, keyed by option name.
 
     They become argparse defaults, which argparse neither converts (unless
-    they are strings) nor checks, so both happen here."""
+    they are strings) nor checks, so both happen here. Required options
+    and --config take no value from the file, nor does one option twice."""
     try:
         overrides = read_json_object(path)
     except OSError as exc:
@@ -82,6 +83,12 @@ def _read_config(path, command: CommandParser) -> dict:
         action = command.options.get(key.replace("-", "_"))
         if action is None:
             raise ConfigInvalid(f"unknown config key {key!r}")
+        if action.required or action.dest == "config":
+            raise ConfigInvalid(f"config key {key!r}: give "
+                                f"{action.option_strings[0]} on the command line")
+        if action.dest in values:
+            first = next(k for k in overrides if k.replace("-", "_") == action.dest)
+            raise ConfigInvalid(f"config keys {first!r} and {key!r} name one option")
         values[action.dest] = _config_value(key, value, action)
     return values
 
@@ -164,6 +171,9 @@ def _load_pipeline(ws: Path) -> editor.EditPipeline:
 def cmd_edit(args) -> int:
     if not np.isfinite(args.target):
         raise ConfigInvalid(f"--target {args.target} is not finite")
+    if args.raw and not 0.0 <= args.target <= 1.0:
+        raise ConfigInvalid(f"--target: raw attribute value {args.target} "
+                            "outside [0, 1]")
     ws = Path(args.workspace)
     pipeline = _load_pipeline(ws)
     latents = read_matrix(args.latents, (None, pipeline.pca.dim), "pca_mean.npy")
@@ -172,10 +182,7 @@ def cmd_edit(args) -> int:
         raise ConfigInvalid(f"attribute {k} out of range")
     target = args.target
     if args.raw:
-        try:
-            target = editor.raw_to_slot(pipeline, k, args.target)
-        except OutOfDomain as exc:
-            raise ConfigInvalid(f"--target: {exc}") from exc
+        target = gaussianize.gaussianize_value(pipeline.transform, k, target)
     edited = editor.edit(pipeline, latents, k, target)
     out = args.out or str(ws / "edited.npy")
     write_matrix(edited, out)

@@ -2,7 +2,7 @@
 reattach the untouched trailing coordinates, reconstruct.
 
 Code slots hold gaussianized attribute values, so a slider is linear in code
-space; a raw-scale wrapper converts through the attribute transform. The
+space; a raw value reaches its slot through ``gaussianize_value``. The
 amplitude search bisects a grid of targets expressed as quantiles, which
 makes the schedule independent of any per-attribute scale.
 """
@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, OracleFailure, OutOfDomain
-from .gaussianize import AttributeTransform, gaussianize_value, inv_norm_cdf
+from .errors import DimensionMismatch, OracleFailure
+from .gaussianize import AttributeTransform, inv_norm_cdf
 from .mlp import mlp_forward
 from .pca import PcaModel, PcaSplit, project, reconstruct
 from .training import EncoderDecoder
@@ -69,14 +69,6 @@ def set_attribute(code: EditableCode, k: int, value: float) -> EditableCode:
     slots = code.slots.copy()
     slots[..., k] = value
     return replace(code, slots=slots)
-
-
-def raw_to_slot(pipeline: EditPipeline, k: int, raw_value: float) -> float:
-    """Slot value (gaussianized scale) of a raw attribute-k value in [0, 1];
-    another value (NaN too) is OutOfDomain."""
-    if not 0.0 <= raw_value <= 1.0:
-        raise OutOfDomain(f"raw attribute value {raw_value} outside [0, 1]")
-    return gaussianize_value(pipeline.transform, k, raw_value)
 
 
 def edit(pipeline: EditPipeline, w: np.ndarray, k: int,

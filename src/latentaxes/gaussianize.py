@@ -54,13 +54,6 @@ _Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
        2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
 
-def _horner(x, coefs):
-    out = coefs[0]
-    for c in coefs[1:]:
-        out = out * x + c
-    return out
-
-
 def norm_cdf(x):
     """Standard normal CDF, 0.5 * erfc(-x / sqrt(2)) element by element,
     accurate in both tails."""
@@ -85,13 +78,13 @@ def inv_norm_cdf(p):
     central = y > _EXP_M2
     c = y[central] - 0.5
     c2 = c * c
-    x[central] = (c + c * (c2 * _horner(c2, _P0) / _horner(c2, _Q0))) * _SQRT2PI
+    x[central] = (c + c * (c2 * np.polyval(_P0, c2) / np.polyval(_Q0, c2))) * _SQRT2PI
     tail = ~central
     r = np.sqrt(-2.0 * np.log(y[tail]))
     x1 = np.empty_like(r)
     for part, p_tab, q_tab in ((r < 8.0, _P1, _Q1), (r >= 8.0, _P2, _Q2)):
         z = 1.0 / r[part]
-        x1[part] = z * _horner(z, p_tab) / _horner(z, q_tab)
+        x1[part] = z * np.polyval(p_tab, z) / np.polyval(q_tab, z)
     x_tail = r - np.log(r) / r - x1
     x[tail] = np.where(upper[tail], x_tail, -x_tail)
     return float(x[0]) if p_arr.ndim == 0 else x.reshape(p_arr.shape)

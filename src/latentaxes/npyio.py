@@ -128,10 +128,18 @@ def check_keys(obj: dict, schema: dict, where) -> dict:
 
 def read_json_object(path) -> dict:
     """The JSON object in the file ``path``. A file that is not a JSON
-    object is a ConfigInvalid naming it; one that cannot be read raises
-    OSError."""
+    object, or that repeats a key in any object, is a ConfigInvalid naming
+    it; one that cannot be read raises OSError."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigInvalid(f"{path}: key {key!r} appears twice")
+            obj[key] = value
+        return obj
+
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigInvalid(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

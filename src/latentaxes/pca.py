@@ -68,7 +68,6 @@ def fit_pca(data: np.ndarray, split: int) -> PcaModel:
                         split=split)
 
     flip = np.sign(eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(m)])
-    flip[flip == 0] = 1.0
     eigvecs = eigvecs * flip
     return PcaModel(mean=mean, basis=eigvecs, eigenvalues=eigvals, split=split)
 

@@ -235,16 +235,22 @@ def test_criterion_5_end_to_end(corr_c):
                     f"identity {identity:.4f}, runtime {elapsed:.0f}s")
 
 
-def test_criterion_6_variant_ablations(corr_a, corr_b, corr_c):
-    off_a = held_out_max_offdiag(corr_a)
-    off_c = held_out_max_offdiag(corr_c)
-    latents = oracle.sample_w(corr_b["world"], 1024, 99)
-    slots = editor.encode(corr_b["pipe"], latents).attr_slots
+def criterion_6_match(run):
+    """Criterion 6's variant-B correlation match for a trained desk run: the
+    largest gap between its held-out slot correlation and the database's."""
+    latents = oracle.sample_w(run["world"], 1024, 99)
+    slots = editor.encode(run["pipe"], latents).attr_slots
     code_corr = training.batch_corr(slots)
     db_corr = training.batch_corr(
         gaussianize.gaussianize_columns(
-            gaussianize.fit_transform(corr_b["attrs"]), corr_b["attrs"]))
-    match = float(np.abs(code_corr - db_corr).max())
+            gaussianize.fit_transform(run["attrs"]), run["attrs"]))
+    return float(np.abs(code_corr - db_corr).max())
+
+
+def test_criterion_6_variant_ablations(corr_a, corr_b, corr_c):
+    off_a = held_out_max_offdiag(corr_a)
+    off_c = held_out_max_offdiag(corr_c)
+    match = criterion_6_match(corr_b)
     ok = off_a > off_c and match <= 0.15
     announce(6, ok, f"variant A off-diag {off_a:.3f} > C {off_c:.3f}, "
                     f"variant B corr match {match:.3f} <= 0.15")

@@ -175,6 +175,18 @@ def test_edit_raw_target(workspace, tmp_path):
                "--attribute", 0, "--target", "1.5", "--raw") == cli.CONFIG_ERROR
 
 
+@pytest.mark.parametrize("target", ["1.5", "-0.25"])
+def test_edit_refuses_a_raw_target_before_reading_the_workspace(tmp_path, capsys,
+                                                                target):
+    # neither the workspace nor the latents file exists: reading either
+    # would be a data error
+    assert run("edit", "--workspace", tmp_path / "ws", "--latents",
+               tmp_path / "in.npy", "--attribute", 0, "--target", target,
+               "--raw") == cli.CONFIG_ERROR
+    assert (f"config error: --target: raw attribute value {float(target)} "
+            "outside [0, 1]") in capsys.readouterr().err
+
+
 def test_evaluate_report_schema(workspace, capsys):
     assert run("evaluate", "--workspace", workspace, "--n", 128, "--csv") == 0
     report = json.loads((workspace / "report.json").read_text())
@@ -629,14 +641,50 @@ def test_config_file_value_of_wrong_type(tmp_path, capsys, config):
     assert "config error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["func", "command"])
-def test_config_file_key_that_is_not_an_option(tmp_path, capsys, key):
-    # both are attributes of the parsed arguments, but not options
+EDIT_ARGV = ("edit", "--latents", "in.npy", "--attribute", 0, "--target", 1)
+
+
+@pytest.mark.parametrize("argv, key, message", [
+    # attributes of the parsed arguments, but not options
+    (("gen-data",), "func", "unknown config key 'func'"),
+    (("gen-data",), "command", "unknown config key 'command'"),
+    # options that a config default never reaches: required ones, and
+    # --config itself
+    (("gen-data",), "workspace", "config key 'workspace': give --workspace on "
+     "the command line"),
+    (("gen-data",), "config", "config key 'config': give --config on the "
+     "command line"),
+    (EDIT_ARGV, "latents", "config key 'latents': give --latents on the "
+     "command line"),
+    (EDIT_ARGV, "attribute", "config key 'attribute': give --attribute on "
+     "the command line"),
+    (EDIT_ARGV, "target", "config key 'target': give --target on the command "
+     "line")],
+    ids=["func", "command", "workspace", "config", "latents", "attribute",
+         "target"])
+def test_config_file_key_that_is_not_an_option(tmp_path, capsys, argv, key,
+                                               message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: 1}))
-    assert run("gen-data", "--workspace", tmp_path / "ws",
+    ws = tmp_path / "ws"
+    assert run(*argv, "--workspace", ws, "--config", cfg) == cli.CONFIG_ERROR
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not ws.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"batch-size": 64, "batch_size": 128}',
+     "config keys 'batch-size' and 'batch_size' name one option"),
+    ('{"epochs": 1, "epochs": 2}', "cfg.json: key 'epochs' appears twice")],
+    ids=["two-spellings", "repeated-key"])
+def test_config_file_that_names_one_option_twice(tmp_path, capsys, text,
+                                                 message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run("train", "--workspace", tmp_path / "ws",
                "--config", cfg) == cli.CONFIG_ERROR
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
 
 
 def test_config_file_values_converted_by_option_type(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latentaxes import baseline, editor, gaussianize, oracle, pca, training
-from latentaxes.errors import OracleFailure, OutOfDomain
+from latentaxes.errors import OracleFailure
 
 
 @pytest.fixture(scope="module")
@@ -117,19 +117,19 @@ def test_set_attribute_index_range(setup):
 
 
 def test_set_attribute_raw(setup):
+    # `edit --raw` refuses a raw value outside [0, 1]: see test_cli
     world, pipe, latents = setup
     code = editor.encode(pipe, latents[6])
     median = float(np.median(pipe.transform.tables[0]))
-    at_median = editor.set_attribute(code, 0,
-                                     editor.raw_to_slot(pipe, 0, median))
+    at_median = editor.set_attribute(
+        code, 0, gaussianize.gaussianize_value(pipe.transform, 0, median))
     assert abs(at_median.attr_slots[0]) <= 1e-6
-    # identical to composing with the explicit gaussianization
-    g = gaussianize.gaussianize_value(pipe.transform, 0, 0.9)
-    a = editor.set_attribute(code, 0, editor.raw_to_slot(pipe, 0, 0.9))
+    # identical to gaussianizing a whole attribute row
+    g = gaussianize.gaussianize_columns(pipe.transform, [0.9, 0.5])[0]
+    a = editor.set_attribute(code, 0,
+                             gaussianize.gaussianize_value(pipe.transform, 0, 0.9))
     b = editor.set_attribute(code, 0, g)
     np.testing.assert_array_equal(a.attr_slots, b.attr_slots)
-    with pytest.raises(OutOfDomain, match=r"raw attribute value 1.5 outside \[0, 1\]"):
-        editor.raw_to_slot(pipe, 0, 1.5)
 
 
 def test_decode_residual_linearity(setup):

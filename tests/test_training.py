@@ -528,6 +528,15 @@ class TestTrain:
         with pytest.raises(ConfigInvalid, match="model_meta.json: not valid JSON"):
             training.load_model(tmp_path)
 
+    def test_load_model_refuses_a_key_repeated_in_the_manifest(self, tmp_path):
+        # json.loads alone keeps the last value of a repeated key
+        meta_path, manifest = self.saved_manifest(tmp_path)
+        text = json.dumps(manifest).replace('"seed": ', '"seed": 5, "seed": ')
+        meta_path.write_text(text)
+        with pytest.raises(ConfigInvalid, match="model_meta.json: key 'seed' "
+                                                "appears twice"):
+            training.load_model(tmp_path)
+
     @pytest.mark.parametrize("key, value", [
         ("K", None), ("K", "3"), ("K", 3.0), ("K", -1), ("K", 10),
         # keys of manifests written before code_size: unknown now
