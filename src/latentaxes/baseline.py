@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .editor import first_hit
-from .errors import DimensionMismatch, LatentAxesError, SingleClass
+from .errors import DimensionMismatch, LatentAxesError, SingleClass, TooFewSamples
 from .npyio import check_finite_rows, read_matrix, write_matrix
 from .pca import BLOCK_ROWS
 
@@ -56,17 +56,19 @@ def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEdit
     over the same blocks, so that every direction has the bits of its fit
     alone. A constant column gets sigma 1 and a zero weight; it is found by
     its own max and min, as its centred values may be a few ulps off 0. Bad
-    shapes and non-finite latents are refused before any fit; an attribute
-    with a non-finite score, or whose scores all fall on one side of 0.5, is
-    refused naming it.
+    shapes, fewer than 2 rows and non-finite latents are refused before any
+    fit; an attribute with a non-finite score, or whose scores all fall on
+    one side of 0.5, is refused naming it.
     """
     x = np.asarray(latents, dtype=np.float64)
     raw_attrs = np.asarray(raw_attrs, dtype=np.float64)
     if x.ndim != 2 or raw_attrs.ndim != 2 or raw_attrs.shape[0] != x.shape[0]:
         raise DimensionMismatch(f"latents {x.shape} and raw_attrs "
                                 f"{raw_attrs.shape} must be (n, m) and (n, K)")
-    check_finite_rows("latents", x)
     n, m = x.shape
+    if n < 2:
+        raise TooFewSamples(f"the linear baseline needs at least 2 rows, got {n}")
+    check_finite_rows("latents", x)
     blocks = [slice(i, i + BLOCK_ROWS) for i in range(0, n, BLOCK_ROWS)]
     mu = x.mean(axis=0)
     cov = np.zeros((m, m))

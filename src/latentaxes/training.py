@@ -4,7 +4,9 @@ The objective has three parts: squared reconstruction error in the
 compressed latent coordinates, a squared penalty tying the first K code
 dimensions to the (gaussianized) attribute values, and an L1 penalty pulling
 the batch Pearson correlation of those K dimensions toward a reference
-matrix. Gradients are derived by hand; the optimizer is Adam.
+matrix. ``backward`` computes the three components and their gradients,
+derived by hand, and ``weighted_total`` weighs the components into the
+objective; the optimizer is Adam.
 
 Precision: ``train`` computes and updates in float32 (the nets, their
 gradients and Adam's moments; the loss components and the correlation
@@ -65,21 +67,6 @@ class TrainConfig:
         return 2 if self.corr_mode == CORR_NONE else 32
 
 
-def loss_recons(w: np.ndarray, w_hat: np.ndarray) -> float:
-    if w.shape != w_hat.shape:
-        raise DimensionMismatch("reconstruction shapes differ")
-    diff = w - w_hat
-    return float(np.sum(diff * diff) / w.shape[0])
-
-
-def loss_attr(codes: np.ndarray, attrs: np.ndarray) -> float:
-    k = attrs.shape[1]
-    if codes.shape[0] != attrs.shape[0] or codes.shape[1] < k:
-        raise DimensionMismatch("codes/attributes shapes inconsistent")
-    diff = codes[:, :k] - attrs
-    return float(np.sum(diff * diff) / codes.shape[0])
-
-
 def _corr_parts(codes_first_k: np.ndarray):
     """Centred columns, guarded variances and the Pearson correlation over
     the batch (covariance divisor = batch size). The small additive variance
@@ -98,12 +85,6 @@ def _corr_parts(codes_first_k: np.ndarray):
 def batch_corr(codes_first_k: np.ndarray) -> np.ndarray:
     """Pearson correlation over the batch, variance-guarded."""
     return _corr_parts(codes_first_k)[3]
-
-
-def loss_corr(corr: np.ndarray, gamma_ref: np.ndarray) -> float:
-    if corr.shape != gamma_ref.shape:
-        raise DimensionMismatch("correlation/reference shapes differ")
-    return float(np.abs(corr - gamma_ref).sum())
 
 
 def corr_loss_and_grad(codes_first_k: np.ndarray, gamma_ref: np.ndarray):
@@ -125,38 +106,21 @@ def corr_loss_and_grad(codes_first_k: np.ndarray, gamma_ref: np.ndarray):
     return loss, grad_y
 
 
-def total_loss(w, w_hat, codes, attrs, cfg: TrainConfig, gamma_ref=None):
-    """Weighted sum of the three components; the correlation term is dropped
-    entirely in variant A and, as in ``backward``, when beta is 0 (its
-    component is then 0). Returns (total, components dict)."""
-    comps = {
-        "recons": loss_recons(w, w_hat),
-        "attr": loss_attr(codes, attrs),
-        "corr": 0.0,
-    }
-    total = comps["recons"] + cfg.alpha * comps["attr"]
-    if cfg.corr_mode != CORR_NONE and cfg.beta != 0.0:
-        if gamma_ref is None:
-            raise ConfigInvalid("corr_mode set but no reference matrix given")
-        comps["corr"] = loss_corr(batch_corr(codes[:, : attrs.shape[1]]), gamma_ref)
-        total += cfg.beta * comps["corr"]
-    return total, comps
-
-
-def forward_batch(model: EncoderDecoder, x: np.ndarray):
-    codes, acts_e = mlp_forward(model.encoder, x)
-    w_hat, acts_d = mlp_forward(model.decoder, codes)
-    return codes, w_hat, acts_e, acts_d
+def weighted_total(comps: dict, cfg: TrainConfig) -> float:
+    """The objective from its components: recons + alpha * attr + beta * corr."""
+    return comps["recons"] + cfg.alpha * comps["attr"] + cfg.beta * comps["corr"]
 
 
 def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
              cfg: TrainConfig, gamma_ref=None):
-    """Gradients of the total loss, each laid out like its net's flat
-    buffer, and total_loss's components (corr is 0 when beta is): returns
-    (enc_grad, dec_grad, components)."""
+    """Gradients of the objective, each laid out like its net's flat
+    buffer, and the objective's components, which ``weighted_total``
+    weighs (corr is 0 in variant A and when beta is 0): returns (enc_grad,
+    dec_grad, {"recons", "attr", "corr"})."""
     b = x.shape[0]
     k = attrs.shape[1]
-    codes, w_hat, acts_e, acts_d = forward_batch(model, x)
+    codes, acts_e = mlp_forward(model.encoder, x)
+    w_hat, acts_d = mlp_forward(model.decoder, codes)
     recons_diff = w_hat - x
     attr_diff = codes[:, :k] - attrs
     comps = {"recons": float(np.sum(recons_diff * recons_diff) / b),
@@ -266,9 +230,7 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
                 sums[key] += comps[key] * idx.size
             count += idx.size
         epoch_stats = {key: sums[key] / count for key in sums}
-        epoch_stats["total"] = (epoch_stats["recons"]
-                                + cfg.alpha * epoch_stats["attr"]
-                                + cfg.beta * epoch_stats["corr"])
+        epoch_stats["total"] = weighted_total(epoch_stats, cfg)
         history.append(epoch_stats)
     return EncoderDecoder(*(net.astype(np.float64) for net in nets),
                           n_attributes=k), history

@@ -16,8 +16,8 @@ import scipy.integrate
 from latentaxes import (baseline, editor, evaluation, gaussianize, oracle,
                         pca, training)
 from latentaxes.mlp import init_params
-from latentaxes.training import EncoderDecoder, TrainConfig, backward, \
-    forward_batch, total_loss
+from latentaxes.training import (EncoderDecoder, TrainConfig, backward,
+                                 weighted_total)
 
 DESK = dict(m=32, k=5, q=8, n=20000, d=16)
 DESK_CFG = dict(alpha=1.0, beta=0.5, epochs=150, batch_size=256,
@@ -108,9 +108,7 @@ def test_criterion_1_gradient_check():
     ]
 
     def objective(cfg, gamma):
-        codes, w_hat, _, _ = forward_batch(model, x)
-        total, _ = total_loss(x, w_hat, codes, attrs, cfg, gamma)
-        return total
+        return weighted_total(backward(model, x, attrs, cfg, gamma)[2], cfg)
 
     h = 1e-5
     worst = 0.0

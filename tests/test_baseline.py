@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.special import expit
 
 from latentaxes import baseline, oracle
-from latentaxes.errors import DimensionMismatch, NonFinite, SingleClass
+from latentaxes.errors import (DimensionMismatch, NonFinite, SingleClass,
+                               TooFewSamples)
 
 
 def fit_one(x, labels):
@@ -200,6 +203,17 @@ def test_fit_all_refuses_non_finite_latents_for_no_one_attribute():
     x[17, 2] = np.nan
     with pytest.raises(NonFinite, match="^latents row 17 "):
         baseline.fit_all_directions(x, rng.random(size=(200, 3)))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_fit_all_refuses_fewer_than_two_rows_before_any_reduction(n):
+    rng = np.random.default_rng(29)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a reduction over no rows warns
+        with pytest.raises(TooFewSamples, match="^the linear baseline needs "
+                           f"at least 2 rows, got {n}$"):
+            baseline.fit_all_directions(rng.normal(size=(n, 4)),
+                                        rng.random(size=(n, 3)))
 
 
 def test_fit_all_equals_fitting_each_alone_bit_for_bit():

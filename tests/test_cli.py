@@ -481,10 +481,17 @@ def set_attrs(ws, row, col, value):
     np.save(ws / "attrs.npy", attrs)  # write_matrix would refuse a NaN
 
 
+def empty_dataset(ws):
+    for name, columns in (("latents.npy", 16), ("attrs.npy", 3)):
+        npyio.write_matrix(np.zeros((0, columns)), ws / name)
+
+
 @pytest.mark.parametrize("break_fit, code, named", [
     (lambda ws, mp: set_attrs(ws, slice(None), 1, 0.2),  # every label 0
      cli.DATA_ERROR, "attribute 1: both classes must be present"),
-], ids=["single-class"])
+    (lambda ws, mp: empty_dataset(ws), cli.DATA_ERROR,
+     "data error: the linear baseline needs at least 2 rows, got 0"),
+], ids=["single-class", "no-rows"])
 def test_evaluate_names_the_attribute_the_baseline_cannot_fit(
         workspace, tmp_path, capsys, monkeypatch, break_fit, code, named):
     ws = shutil.copytree(workspace, tmp_path / "ws")

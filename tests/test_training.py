@@ -14,19 +14,15 @@ from latentaxes.errors import (
     NonFinite,
     TooFewSamples,
 )
-from latentaxes.mlp import init_params
+from latentaxes.mlp import MlpParams, init_params
 from latentaxes.training import (
     EncoderDecoder,
     TrainConfig,
     backward,
     batch_corr,
     corr_loss_and_grad,
-    forward_batch,
-    loss_attr,
-    loss_corr,
-    loss_recons,
-    total_loss,
     train,
+    weighted_total,
 )
 
 
@@ -57,49 +53,68 @@ def small_model(seed=0, sizes=(10, 16, 16, 10)):
 SMALL_CFG = TrainConfig(hidden_size=16, n_layers=3)  # small_model's sizes
 
 
+def components(x, attrs, decoder=1.0,
+               cfg=TrainConfig(corr_mode=training.CORR_NONE), gamma=None):
+    """``backward``'s loss components on one-layer nets: the identity
+    encoder, so codes == x, and the decoder ``decoder`` times the identity,
+    so w_hat == decoder * x."""
+    d = x.shape[1]
+    model = EncoderDecoder(MlpParams([np.eye(d)], [np.zeros(d)]),
+                           MlpParams([decoder * np.eye(d)], [np.zeros(d)]),
+                           attrs.shape[1])
+    return backward(model, x, attrs, cfg, gamma)[2]
+
+
 class TestLosses:
     def test_recons_zero_on_identical(self):
         x = np.random.default_rng(0).normal(size=(4, 6))
-        assert loss_recons(x, x.copy()) == 0.0
+        assert components(x, x[:, :2])["recons"] == 0.0
 
     def test_recons_pythagoras(self):
         w = np.array([[3.0, 4.0]])
-        assert loss_recons(w, np.zeros((1, 2))) == pytest.approx(25.0)
+        assert components(w, w[:, :1], decoder=0.0)["recons"] == pytest.approx(25.0)
 
     def test_recons_quadratic(self):
-        rng = np.random.default_rng(1)
-        w, r = rng.normal(size=(8, 5)), rng.normal(size=(8, 5))
-        assert loss_recons(w, w + 2 * r) == pytest.approx(4 * loss_recons(w, w + r))
+        w = np.random.default_rng(1).normal(size=(8, 5))
+        # w_hat - w is w at decoder 2 and 2w at decoder 3
+        assert (components(w, w[:, :2], decoder=3.0)["recons"]
+                == pytest.approx(4 * components(w, w[:, :2], decoder=2.0)["recons"]))
 
     def test_attr_zero_when_matching(self):
         codes = np.random.default_rng(2).normal(size=(6, 8))
-        assert loss_attr(codes, codes[:, :3].copy()) == 0.0
+        assert components(codes, codes[:, :3].copy())["attr"] == 0.0
 
     def test_attr_hand_value(self):
         codes = np.array([[1.0, -1.0, 9.9]])
         attrs = np.array([[0.0, 0.0]])
-        assert loss_attr(codes, attrs) == pytest.approx(2.0)
+        assert components(codes, attrs)["attr"] == pytest.approx(2.0)
 
     def test_attr_ignores_free_slots(self):
         rng = np.random.default_rng(3)
         codes = rng.normal(size=(5, 7))
         attrs = rng.normal(size=(5, 3))
-        before = loss_attr(codes, attrs)
+        before = components(codes, attrs)["attr"]
         codes[:, 3:] += 100.0
-        assert loss_attr(codes, attrs) == before
+        assert components(codes, attrs)["attr"] == before
 
     def test_corr_zero_at_reference(self):
-        assert loss_corr(np.eye(3), np.eye(3)) == 0.0
+        codes = np.random.default_rng(14).normal(size=(16, 3))
+        assert corr_loss_and_grad(codes, batch_corr(codes))[0] == 0.0
 
     def test_corr_hand_value(self):
-        corr = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert loss_corr(corr, np.eye(2)) == pytest.approx(1.0)
+        # unit-variance columns u and u/2 + (sqrt(3)/2) v, u and v orthogonal:
+        # correlation 0.5
+        u = np.array([1.0, 1.0, -1.0, -1.0])
+        v = np.array([1.0, -1.0, 1.0, -1.0])
+        codes = np.column_stack([u, 0.5 * u + np.sqrt(0.75) * v])
+        assert corr_loss_and_grad(codes, np.eye(2))[0] == pytest.approx(1.0)
 
     def test_corr_transpose_invariant(self):
         rng = np.random.default_rng(4)
-        a = rng.normal(size=(3, 3))
-        corr = (a + a.T) / 2
-        assert loss_corr(corr, np.eye(3)) == loss_corr(corr.T, np.eye(3))
+        codes = rng.normal(size=(16, 3))
+        gamma = rng.normal(size=(3, 3))  # not symmetric
+        assert (corr_loss_and_grad(codes, gamma)[0]
+                == pytest.approx(corr_loss_and_grad(codes, gamma.T)[0]))
 
 
 class TestBatchCorr:
@@ -131,11 +146,10 @@ class TestBatchCorr:
 class TestTotalLoss:
     def test_alpha_beta_zero(self):
         rng = np.random.default_rng(7)
-        w, w_hat = rng.normal(size=(8, 5)), rng.normal(size=(8, 5))
-        codes, attrs = rng.normal(size=(8, 5)), rng.normal(size=(8, 3))
+        x, attrs = rng.normal(size=(8, 5)), rng.normal(size=(8, 3))
         cfg = TrainConfig(alpha=0.0, beta=0.0, corr_mode=training.CORR_IDENTITY)
-        total, comps = total_loss(w, w_hat, codes, attrs, cfg, np.eye(3))
-        assert total == pytest.approx(comps["recons"])
+        comps = components(x, attrs, decoder=2.0, cfg=cfg, gamma=np.eye(3))
+        assert weighted_total(comps, cfg) == pytest.approx(comps["recons"])
 
     def test_perfect_everything_is_zero(self):
         codes = np.array([[1, 0, 0, 0.3], [0, 1, 0, -0.2],
@@ -143,21 +157,19 @@ class TestTotalLoss:
                           [0, -1, 0, 0.5], [0, 0, -1, 0.6],
                           [1, 0, 0, 0.2], [-1, 0, 0, -0.4]], dtype=float)
         # balanced columns: batch_corr ~ identity (up to the variance guard)
-        w = np.random.default_rng(8).normal(size=(8, 4))
         cfg = TrainConfig(alpha=1.0, beta=1.0, corr_mode=training.CORR_IDENTITY)
-        total, _ = total_loss(w, w.copy(), codes, codes[:, :3].copy(), cfg, np.eye(3))
-        assert total == pytest.approx(0.0, abs=1e-6)
+        comps = components(codes, codes[:, :3].copy(), cfg=cfg, gamma=np.eye(3))
+        assert weighted_total(comps, cfg) == pytest.approx(0.0, abs=1e-6)
 
     def test_variant_a_ignores_correlation(self):
         rng = np.random.default_rng(9)
-        w = rng.normal(size=(16, 5))
         col = rng.normal(size=16)
         codes = np.column_stack([col, col, col, rng.normal(size=(16, 2))])
         attrs = rng.normal(size=(16, 3))
         cfg = TrainConfig(alpha=1.0, beta=1.0, corr_mode=training.CORR_NONE)
-        total, comps = total_loss(w, w, codes, attrs, cfg)
+        comps = components(codes, attrs, cfg=cfg)
         assert comps["corr"] == 0.0
-        assert total == pytest.approx(cfg.alpha * comps["attr"])
+        assert weighted_total(comps, cfg) == pytest.approx(cfg.alpha * comps["attr"])
 
 
 class TestGradients:
@@ -170,9 +182,7 @@ class TestGradients:
         return model, x, attrs
 
     def objective(self, model, x, attrs, cfg, gamma):
-        codes, w_hat, _, _ = forward_batch(model, x)
-        total, _ = total_loss(x, w_hat, codes, attrs, cfg, gamma)
-        return total
+        return weighted_total(backward(model, x, attrs, cfg, gamma)[2], cfg)
 
     @pytest.mark.parametrize("cfg,gamma", [
         (TrainConfig(alpha=0.0, beta=0.0, corr_mode=training.CORR_NONE), None),
@@ -221,12 +231,9 @@ class TestGradients:
     def test_a_correlation_term_without_a_reference_is_refused(self, setup):
         model, x, attrs = setup
         cfg = TrainConfig(alpha=1.0, beta=0.5, corr_mode=training.CORR_IDENTITY)
-        codes, w_hat, _, _ = forward_batch(model, x)
-        message = "^corr_mode set but no reference matrix given$"
-        with pytest.raises(ConfigInvalid, match=message):
+        with pytest.raises(ConfigInvalid,
+                           match="^corr_mode set but no reference matrix given$"):
             backward(model, x, attrs, cfg)
-        with pytest.raises(ConfigInvalid, match=message):
-            total_loss(x, w_hat, codes, attrs, cfg)
 
     @pytest.mark.parametrize("call,net", [(0, "decoder"), (1, "encoder")])
     def test_non_finite_gradient_names_net_and_layer(self, setup, monkeypatch,
@@ -247,25 +254,6 @@ class TestGradients:
         cfg = TrainConfig(alpha=1.0, beta=0.0, corr_mode=training.CORR_NONE)
         with pytest.raises(NonFinite, match=f"{net} bias gradient in layer 1"):
             backward(model, x, attrs, cfg)
-
-    @pytest.mark.parametrize("mode", [training.CORR_NONE,
-                                      training.CORR_DATABASE,
-                                      training.CORR_IDENTITY])
-    def test_components_equal_total_loss_bit_for_bit(self, setup, mode):
-        model, x, attrs = setup
-        gamma = None if mode == training.CORR_NONE else batch_corr(attrs)
-        codes, w_hat, _, _ = forward_batch(model, x)
-        for beta in (0.4, 0.0):  # at beta 0 the corr component is 0 in both
-            cfg = TrainConfig(alpha=0.7, beta=beta, corr_mode=mode)
-            *_, comps = backward(model, x, attrs, cfg, gamma)
-            total, want = total_loss(x, w_hat, codes, attrs, cfg, gamma)
-            assert want.keys() == comps.keys()
-            for key in want:
-                assert (np.float64(comps[key]).tobytes()
-                        == np.float64(want[key]).tobytes()), (beta, key)
-            if beta == 0.0:
-                assert want["corr"] == 0.0
-                assert total == want["recons"] + cfg.alpha * want["attr"]
 
     @pytest.mark.parametrize("mode", training.CORR_MODES)
     def test_float32_copy_agrees_with_float64(self, mode):
@@ -318,6 +306,23 @@ class TestTrain:
         assert h1 == h2
         for w1, w2 in zip(m1.encoder.weights, m2.encoder.weights):
             np.testing.assert_array_equal(w1, w2)
+
+    @pytest.mark.parametrize("beta", [0.4, 0.0])
+    @pytest.mark.parametrize("mode", training.CORR_MODES)
+    def test_history_total_is_the_weighted_components_bit_for_bit(self, mode,
+                                                                  beta):
+        x, attrs = self.make_data(n=128)
+        cfg = TrainConfig(alpha=0.7, beta=beta, epochs=2, batch_size=32,
+                          corr_mode=mode, learning_rate=1e-3, hidden_size=16,
+                          n_layers=3, seed=3)
+        _, history = train(x, attrs, cfg)
+        for stats in history:
+            assert stats.keys() == {"recons", "attr", "corr", "total"}
+            assert (np.float64(stats["total"]).tobytes()
+                    == np.float64(weighted_total(stats, cfg)).tobytes())
+            if beta == 0.0:  # the corr component is 0 in every variant
+                assert stats["corr"] == 0.0
+                assert stats["total"] == stats["recons"] + cfg.alpha * stats["attr"]
 
     def test_steps_in_float32_and_returns_float64(self, monkeypatch):
         seen = {"mlp_forward": [], "mlp_backward": []}

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in it or listed in its
-``__all__``, so that deleting code leaves no dead import behind."""
+"""Every name a package module, test or tool imports is used in it or
+listed in its ``__all__``, so that deleting code leaves no dead import
+behind."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 import latentaxes
 
 MODULES = sorted(Path(latentaxes.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("tools/*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -32,7 +35,8 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=[
+    *(p.name for p in MODULES), *(str(p.relative_to(ROOT)) for p in SCRIPTS)])
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
