@@ -3,10 +3,11 @@ separating hyperplane (the InterFaceGAN family), fit in closed form as a
 ridge least-squares regression of the attribute's raw score on the
 standardized latents xs = (x - mu) / sigma:
 
-    (R + FIT_L2 * I) w = cov(xs, y),    R = cov(xs, xs),
+    (R + FIT_L2 * I) W = cov(xs, Y),    R = cov(xs, xs),
 
-one m-by-m solve per attribute. The raw scores, not labels thresholded from
-them, are the regressand: they carry how far a row lies from the boundary.
+one m-by-m solve with a right-hand side per attribute. The raw scores, not
+labels thresholded from them, are the regressand: they carry how far a row
+lies from the boundary.
 """
 
 from dataclasses import dataclass
@@ -49,16 +50,15 @@ class LinearEditor:
 
 
 def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEditor:
-    """Solve the module's ridge system for each attribute k on its raw
-    scores; units[k] is w / sigma, the direction in the original space, at
-    unit norm. The centred covariance is summed over BLOCK_ROWS-row blocks,
-    so no n-by-m temporary is made, and each attribute's cross-covariance
-    over the same blocks, so that every direction has the bits of its fit
-    alone. A constant column gets sigma 1 and a zero weight; it is found by
-    its own max and min, as its centred values may be a few ulps off 0. Bad
-    shapes, fewer than 2 rows and non-finite latents are refused before any
-    fit; an attribute with a non-finite score, or whose scores all fall on
-    one side of 0.5, is refused naming it.
+    """Solve the module's ridge system for every attribute at once, one
+    right-hand side per attribute's raw scores; units[k] is w / sigma, the
+    direction in the original space, at unit norm. One pass over
+    BLOCK_ROWS-row blocks centres each block once and sums the covariance
+    and all K cross-covariances, so no n-by-m temporary is made. A constant
+    column gets sigma 1 and a zero weight; it is found by its own max and
+    min, as its centred values may be a few ulps off 0. Bad shapes, fewer
+    than 2 rows, non-finite latents and, naming the attribute, a non-finite
+    score or scores all on one side of 0.5 are refused before any fit.
     """
     x = np.asarray(latents, dtype=np.float64)
     raw_attrs = np.asarray(raw_attrs, dtype=np.float64)
@@ -69,16 +69,6 @@ def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEdit
     if n < 2:
         raise TooFewSamples(f"the linear baseline needs at least 2 rows, got {n}")
     check_finite_rows("latents", x)
-    blocks = [slice(i, i + BLOCK_ROWS) for i in range(0, n, BLOCK_ROWS)]
-    mu = x.mean(axis=0)
-    cov = np.zeros((m, m))
-    for b in blocks:
-        xc = x[b] - mu
-        cov += xc.T @ xc
-    sigma = np.sqrt(np.diag(cov) / n)
-    sigma[x.max(axis=0) == x.min(axis=0)] = 1.0
-    system = cov / n / np.outer(sigma, sigma) + FIT_L2 * np.eye(m)
-    units = np.empty((raw_attrs.shape[1], m))
     for k, col in enumerate(raw_attrs.T):
         try:
             check_finite_rows("labels", col)
@@ -87,11 +77,18 @@ def fit_all_directions(latents: np.ndarray, raw_attrs: np.ndarray) -> LinearEdit
                 raise SingleClass("both classes must be present")
         except LatentAxesError as exc:
             raise type(exc)(f"attribute {k}: {exc}") from exc
-        y = col - col.mean()
-        cross = sum((x[b] - mu).T @ y[b] for b in blocks) / n
-        unit = np.linalg.solve(system, cross / sigma) / sigma
-        units[k] = unit / np.linalg.norm(unit)
-    return LinearEditor(units=units)
+    mu, y_mu = x.mean(axis=0), raw_attrs.mean(axis=0)
+    cov = np.zeros((m, m))
+    cross = np.zeros((m, raw_attrs.shape[1]))
+    for i in range(0, n, BLOCK_ROWS):
+        xc = x[i:i + BLOCK_ROWS] - mu
+        cov += xc.T @ xc
+        cross += xc.T @ (raw_attrs[i:i + BLOCK_ROWS] - y_mu)
+    sigma = np.sqrt(np.diag(cov) / n)
+    sigma[x.max(axis=0) == x.min(axis=0)] = 1.0
+    system = cov / n / np.outer(sigma, sigma) + FIT_L2 * np.eye(m)
+    w = np.linalg.solve(system, cross / n / sigma[:, None]).T / sigma
+    return LinearEditor(units=w / np.linalg.norm(w, axis=1, keepdims=True))
 
 
 def save_directions(editor: LinearEditor, directory) -> None:

@@ -211,15 +211,13 @@ def cmd_evaluate(args) -> int:
         ws / "latents.npy", ws / "attrs.npy", world.dim, world.n_attributes,
         "world_attr_directions.npy"))
 
-    classify = lambda w: oracle.classify(world, w)
-    embed = lambda w: oracle.embed_identity(world, w)
-    sampler = lambda n, seed: oracle.sample_w(world, n, seed)
-    score = lambda search: evaluation.score_method(
-        search, classify, embed, sampler, world.n_attributes, args.n,
-        args.threshold, args.seed)
-    methods = {"autoencoder": score(functools.partial(editor.search_positive,
-                                                      pipeline)),
-               "linear": score(linear.search_positive)}
+    methods = evaluation.score_methods(
+        {"autoencoder": functools.partial(editor.search_positive, pipeline),
+         "linear": linear.search_positive},
+        lambda w: oracle.classify(world, w),
+        lambda w: oracle.embed_identity(world, w),
+        lambda n, seed: oracle.sample_w(world, n, seed), world.n_attributes,
+        args.n, args.threshold, args.seed)
     if args.csv:
         for name, block in methods.items():
             np.savetxt(ws / f"variation_{name}.csv", block["variation_matrix"],

@@ -1,11 +1,11 @@
 """Quantitative editing protocol.
 
-For every attribute: sample latents, keep the negatives, push each one
-positive with an amplitude search, then score the resulting pairs with the
-attribute-variation matrix, the well-edited rate, identity cosine, and the
-Fréchet distance between pre- and post-edit sets. The classifier and the
-identity embedder are pluggable callables, so the synthetic oracle and any
-real network share the same code path.
+For every attribute: sample latents once, keep the negatives, push each
+one positive with every method's amplitude search, then score each
+method's pairs (variation matrix, well-edited rate, identity cosine,
+Fréchet distance between pre- and post-edit sets). The classifier and
+the identity embedder are pluggable callables, so the synthetic oracle
+and any real network share the same code path.
 """
 
 import json
@@ -35,15 +35,11 @@ class EditPairs:
         return self.n_success / self.n_negatives
 
 
-def build_edit_pairs(search, classify_fn, sample_fn, k: int, n: int = 1024,
-                     threshold: float = 0.9, seed: int = 0) -> EditPairs:
-    """Run the per-attribute protocol for any amplitude search
-    search(latents, k, classify_fn, threshold) -> (edited, success). Every
-    k-negative sample goes through the search, none at all included (the
+def build_edit_pairs(search, classify_fn, negatives: np.ndarray, k: int,
+                     threshold: float = 0.9) -> EditPairs:
+    """One method's search(latents, k, classify_fn, threshold) -> (edited,
+    success) on all of attribute k's negatives, none at all included (the
     rate is then undefined); the successful rows form the pairs."""
-    latents = np.asarray(sample_fn(n, seed), dtype=np.float64)
-    raw = np.asarray(classify_fn(latents), dtype=np.float64)
-    negatives = latents[raw[:, k] < 0.5]
     edited, success = search(negatives, k, classify_fn, threshold)
     return EditPairs(negatives=negatives[success], positives=edited[success],
                      n_negatives=negatives.shape[0])
@@ -118,38 +114,47 @@ def _check_psd(eigenvalues, tol: float = 1e-6):
         raise NonPSD("covariance product has significantly negative eigenvalues")
 
 
-def score_method(search, classify_fn, embed_fn, sample_fn, n_attributes: int,
-                 n: int, threshold: float, seed: int) -> dict:
-    """One editing method's report block, under the report's keys; the
-    pairs of attribute k come from build_edit_pairs at seed + k. An attribute
-    without a success has a NaN variation row (0 in off_diagonal_sum) and no
-    part in identity_similarity; a Fréchet distance with n_success <= m is
-    NaN."""
-    pairs = [build_edit_pairs(search, classify_fn, sample_fn, k, n=n,
-                              threshold=threshold, seed=seed + k)
-             for k in range(n_attributes)]
-    mat = variation_matrix(pairs, classify_fn)
-    identities = [identity_similarity(p, embed_fn)
-                  for p in pairs if p.n_success > 0]
-    return {
-        "well_edited_rates": [p.success_rate for p in pairs],
-        "n_negatives": [p.n_negatives for p in pairs],
-        "n_success": [p.n_success for p in pairs],
-        "variation_matrix": mat,
-        "off_diagonal_sum": off_diagonal_sum(np.nan_to_num(mat)),
-        "identity_similarity": (float(np.mean(identities)) if identities
-                                else float("nan")),
-        "frechet_distances": [frechet_distance(p.negatives, p.positives)
-                              if p.n_success > p.negatives.shape[1]
-                              else float("nan") for p in pairs],
-    }
+def score_methods(searches: dict, classify_fn, embed_fn, sample_fn,
+                  n_attributes: int, n: int, threshold: float, seed: int) -> dict:
+    """Each editing method's report block, under the report's keys, keyed
+    and ordered as ``searches`` (method name -> search). Attribute k's
+    latents are drawn once, as sample_fn(n, seed + k), and classified once:
+    every method searches the same k-negatives, through build_edit_pairs.
+    An attribute without a success has a NaN variation row (0 in
+    off_diagonal_sum) and no part in identity_similarity; a Fréchet distance
+    with n_success <= m is NaN."""
+    pairs = {name: [] for name in searches}
+    for k in range(n_attributes):
+        latents = np.asarray(sample_fn(n, seed + k), dtype=np.float64)
+        negatives = latents[np.asarray(classify_fn(latents))[:, k] < 0.5]
+        for name, search in searches.items():
+            pairs[name].append(build_edit_pairs(search, classify_fn, negatives,
+                                                k, threshold))
+    blocks = {}
+    for name, method_pairs in pairs.items():
+        mat = variation_matrix(method_pairs, classify_fn)
+        identities = [identity_similarity(p, embed_fn)
+                      for p in method_pairs if p.n_success > 0]
+        blocks[name] = {
+            "well_edited_rates": [p.success_rate for p in method_pairs],
+            "n_negatives": [p.n_negatives for p in method_pairs],
+            "n_success": [p.n_success for p in method_pairs],
+            "variation_matrix": mat,
+            "off_diagonal_sum": off_diagonal_sum(np.nan_to_num(mat)),
+            "identity_similarity": (float(np.mean(identities)) if identities
+                                    else float("nan")),
+            "frechet_distances": [frechet_distance(p.negatives, p.positives)
+                                  if p.n_success > p.negatives.shape[1]
+                                  else float("nan") for p in method_pairs],
+        }
+    return blocks
 
 
 def make_report(config, seeds, amplitude_grid, threshold, methods,
                 linear_amplitudes=None) -> dict:
     """Assemble the machine-readable evaluation report.
 
-    ``methods`` maps method name -> its score_method block; arrays become
+    ``methods`` maps method name -> its score_methods block; arrays become
     lists and NaN becomes null. ``amplitude_grid`` names the autoencoder
     search's quantiles, ``linear_amplitudes`` the linear search's steps.
     """

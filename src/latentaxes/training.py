@@ -16,6 +16,7 @@ dtype of the nets it is given.
 """
 
 import json
+import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -52,15 +53,15 @@ class EncoderDecoder:
 
 @dataclass
 class TrainConfig:
-    alpha: float = 1e-5
-    beta: float = 1e-5
+    alpha: float = 1.0
+    beta: float = 0.5
     epochs: int = 150
     batch_size: int = 256
     corr_mode: str = CORR_IDENTITY
-    learning_rate: float = 1e-4
+    learning_rate: float = 1e-3
     seed: int = 0
-    hidden_size: int = 512
-    n_layers: int = 8
+    hidden_size: int = 128
+    n_layers: int = 4
 
     @property
     def min_batch(self) -> int:  # 32 rows where the correlation loss is fed
@@ -173,7 +174,8 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
     """Train the autoencoder on pre-projected latents and gaussianized
     attributes. The code has as many slots as the input has coordinates.
     Deterministic given (config, data). Computes in float32 (see the module
-    docstring).
+    docstring). A non-finite gradient, or an Adam second moment that
+    overflows float32, is a NonFinite naming the epoch and batch.
 
     Returns (EncoderDecoder, history): the float64 model, and one dict of
     sample-weighted component means per epoch.
@@ -221,11 +223,14 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
                 idx = order[-cfg.min_batch:]
             try:
                 *grads, comps = backward(model, x[idx], a[idx], cfg, gamma)
+                for name, net, grad, state in zip(("encoder", "decoder"), nets,
+                                                  grads, states):
+                    adam_step(net, grad, state, cfg.learning_rate)
+                    if not np.isfinite(np.max(state.v)):  # m / inf: no step
+                        raise NonFinite(f"{name} Adam second moment is not finite")
             except NonFinite as exc:
                 raise NonFinite(f"epoch {epoch}, batch at position {start} "
                                 f"(first row {idx[0]}): {exc}") from exc
-            for net, grad, state in zip(nets, grads, states):
-                adam_step(net, grad, state, cfg.learning_rate)
             for key in sums:
                 sums[key] += comps[key] * idx.size
             count += idx.size
@@ -244,8 +249,9 @@ def layer_sizes(code_size: int, cfg: TrainConfig) -> list:
 
 def save_model(model: EncoderDecoder, cfg: TrainConfig, directory) -> None:
     """Write the weights and the manifest ``model_meta.json``, which holds
-    ``code_size``, ``K`` and ``train_config``. A net whose layer sizes are
-    not ``layer_sizes(code_size, cfg)`` is a DimensionMismatch."""
+    ``code_size``, ``K`` and ``train_config``, and delete the weight files
+    of layers the nets do not have. A net whose layer sizes are not
+    ``layer_sizes(code_size, cfg)`` is a DimensionMismatch."""
     code_size = model.encoder.layer_sizes[-1]
     sizes = layer_sizes(code_size, cfg)
     for net in (model.encoder, model.decoder):
@@ -258,6 +264,10 @@ def save_model(model: EncoderDecoder, cfg: TrainConfig, directory) -> None:
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
             write_matrix(w, directory / f"{prefix}_w{i}.npy")
             write_matrix(b[None, :], directory / f"{prefix}_b{i}.npy")
+    for path in directory.glob("*.npy"):  # the layers of a deeper old model
+        layer = re.fullmatch(r"(enc|dec)_[wb](\d+)", path.stem)
+        if layer and int(layer[2]) >= cfg.n_layers:
+            path.unlink()
     manifest = {"code_size": code_size, "K": model.n_attributes,
                 "train_config": asdict(cfg)}
     (directory / "model_meta.json").write_text(json.dumps(manifest, indent=2))

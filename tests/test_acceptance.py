@@ -61,17 +61,6 @@ def corr_b():
     return train_desk(correlated=True, corr_mode=training.CORR_DATABASE)
 
 
-def edit_pairs_all(run, search, n=1024):
-    world = run["world"]
-    classify = lambda w: oracle.classify(world, w)
-    sample = lambda n_, s: oracle.sample_w(world, n_, s)
-    per_attr = []
-    for k in range(DESK["k"]):
-        per_attr.append(evaluation.build_edit_pairs(
-            search, classify, sample, k, n=n, seed=100 + k))
-    return per_attr
-
-
 def ae_search(pipe):
     return functools.partial(editor.search_positive, pipe)
 
@@ -207,19 +196,22 @@ def test_criterion_4_gaussianization():
 
 def criterion_5_figures(run):
     """Criterion 5's figures for a trained desk run: (rate, held-out max
-    off-diagonal, variation off-diagonal, the linear baseline's, identity)."""
-    ae_pairs = edit_pairs_all(run, ae_search(run["pipe"]))
-    embed = lambda w: oracle.embed_identity(run["world"], w)
-    # variation-matrix comparison against the linear baseline
-    classify = lambda w: oracle.classify(run["world"], w)
+    off-diagonal, variation off-diagonal, the linear baseline's, identity).
+    The identity is NaN if an attribute had no success."""
+    world = run["world"]
     lin = baseline.fit_all_directions(run["latents"], run["attrs"])
-    lin_pairs = edit_pairs_all(run, lin.search_positive)
-    return (float(np.mean([p.success_rate for p in ae_pairs])),
+    blocks = evaluation.score_methods(
+        {"autoencoder": ae_search(run["pipe"]), "linear": lin.search_positive},
+        lambda w: oracle.classify(world, w),
+        lambda w: oracle.embed_identity(world, w),
+        lambda n, s: oracle.sample_w(world, n, s), DESK["k"], n=1024,
+        threshold=0.9, seed=100)
+    ae = blocks["autoencoder"]
+    return (float(np.mean(ae["well_edited_rates"])),
             held_out_max_offdiag(run),
-            mean_abs_offdiag(evaluation.variation_matrix(ae_pairs, classify)),
-            mean_abs_offdiag(evaluation.variation_matrix(lin_pairs, classify)),
-            float(np.mean([evaluation.identity_similarity(p, embed)
-                           for p in ae_pairs])))
+            mean_abs_offdiag(ae["variation_matrix"]),
+            mean_abs_offdiag(blocks["linear"]["variation_matrix"]),
+            float("nan") if 0 in ae["n_success"] else ae["identity_similarity"])
 
 
 def test_criterion_5_end_to_end(corr_c):
@@ -283,15 +275,16 @@ def test_criterion_8_determinism(tmp_path):
     for rep in range(2):
         model, history = training.train(top, ag, cfg)
         pipe = editor.EditPipeline(pca=pm, transform=tr, model=model)
-        block = evaluation.score_method(
-            ae_search(pipe), lambda w: oracle.classify(world, w),
+        methods = evaluation.score_methods(
+            {"autoencoder": ae_search(pipe)},
+            lambda w: oracle.classify(world, w),
             lambda w: oracle.embed_identity(world, w),
             lambda n, s: oracle.sample_w(world, n, s), 3, n=256,
             threshold=0.9, seed=50)
         report = evaluation.make_report(
             config=dict(cfg.__dict__), seeds={"world": 5, "data": 6},
             amplitude_grid=editor.AMPLITUDE_QUANTILES, threshold=0.9,
-            methods={"autoencoder": block})
+            methods=methods)
         reports.append((model, history, repr(report)))
     m1, h1, r1 = reports[0]
     m2, h2, r2 = reports[1]

@@ -216,20 +216,33 @@ def test_fit_all_refuses_fewer_than_two_rows_before_any_reduction(n):
                                         rng.random(size=(n, 3)))
 
 
-def test_fit_all_equals_fitting_each_alone_bit_for_bit():
+def test_fit_all_solves_once_for_every_attribute(monkeypatch):
+    # one m-by-m solve takes every attribute's right-hand side, and each
+    # direction still agrees with the fit of its attribute alone
     rng = np.random.default_rng(28)
     x = rng.normal(size=(5000, 6)) * [1.0, 2.0, 0.5, 1.0, 3.0, 1.0] + 7.0
     attrs = expit(x[:, :3] - 7.0 + rng.normal(size=(5000, 3)))
+    solve, shapes = np.linalg.solve, []
+
+    def counting_solve(a, b):
+        shapes.append(b.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
     editor = baseline.fit_all_directions(x, attrs)
+    assert shapes == [(6, 3)]
     for k in range(3):
-        alone = baseline.fit_all_directions(x, attrs[:, [k]])
-        np.testing.assert_array_equal(editor.units[k], alone.units[0])
+        np.testing.assert_allclose(editor.units[k], fit_one(x, attrs[:, k]),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(editor.units[k],
+                                   reference_unit(x, attrs[:, k]),
+                                   rtol=0, atol=1e-9)
 
 
 def test_desk_fit_peak_memory(traced_peak):
-    # the fit holds a centred BLOCK_ROWS-row block and one centred score
-    # column, about 0.6 MiB; an n-by-m float64 temporary (5 MiB) beside them
-    # would exceed the bound
+    # the fit holds a centred BLOCK_ROWS-row block of latents and one of
+    # scores, and peaks at about 0.6 MiB; an n-by-m float64 temporary
+    # (5 MiB) beside them would exceed the bound
     world = oracle.make_world(32, 5, 8, correlated=True, seed=7)
     latents, attrs = oracle.build_dataset(world, 20000, seed=8)
     _, peak = traced_peak(baseline.fit_all_directions, latents, attrs)

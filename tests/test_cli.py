@@ -206,8 +206,35 @@ def test_evaluate_report_schema(workspace, capsys):
                               "identity_similarity", "frechet_distances"}
     ae = report["methods"]["autoencoder"]
     assert len(ae["well_edited_rates"]) == 3
+    # both methods search the same sample of every attribute
+    assert ae["n_negatives"] == lin["n_negatives"]
     assert len(ae["variation_matrix"]) == 3
     assert (workspace / "variation_linear.csv").exists()
+
+
+def test_train_with_default_options_makes_sliders_that_edit(tmp_path):
+    # every train option but --epochs at its default: the sliders must edit
+    ws = tmp_path / "ws"
+    assert run("gen-data", "--workspace", ws, "--seed", 7, "--n", 2000,
+               "--m", 16, "--k", 3, "--q", 4, "--correlated") == 0
+    assert run("fit", "--workspace", ws, "--d", 8) == 0
+    assert run("train", "--workspace", ws, "--epochs", 20) == 0
+    assert run("evaluate", "--workspace", ws, "--n", 512, "--seed", 100) == 0
+    ae = json.loads((ws / "report.json").read_text())["methods"]["autoencoder"]
+    assert np.mean(ae["well_edited_rates"]) > 0.5
+
+
+def test_retraining_with_fewer_layers_leaves_no_stale_weight_file(workspace,
+                                                                  tmp_path):
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    model_files = lambda: sorted(p.name for p in ws.iterdir()
+                                 if p.name.startswith(("enc_", "dec_")))
+    assert len(model_files()) == 16  # the fixture's 4 layers
+    assert run("train", "--workspace", ws, "--epochs", 1, "--hidden-size", 8,
+               "--n-layers", 2) == 0
+    assert model_files() == [f"{net}_{kind}{i}.npy" for net in ("dec", "enc")
+                             for kind in "bw" for i in range(2)]
+    assert run("evaluate", "--workspace", ws, "--n", 64) == 0
 
 
 def test_evaluate_reports_attributes_without_success(workspace, tmp_path,
@@ -529,11 +556,11 @@ def test_evaluate_report_equals_the_serially_built_report(workspace, tmp_path):
     searches = {"autoencoder": functools.partial(editor.search_positive,
                                                  pipeline),
                 "linear": linear.search_positive}
-    methods = {name: evaluation.score_method(
-        search, lambda w: oracle.classify(world, w),
+    methods = evaluation.score_methods(
+        searches, lambda w: oracle.classify(world, w),
         lambda w: oracle.embed_identity(world, w),
         lambda n, seed: oracle.sample_w(world, n, seed), world.n_attributes,
-        args.n, args.threshold, args.seed) for name, search in searches.items()}
+        args.n, args.threshold, args.seed)
     report = evaluation.make_report(
         config={k: v for k, v in vars(args).items()
                 if isinstance(v, (str, int, float, bool, type(None)))},

@@ -13,7 +13,7 @@ from latentaxes.evaluation import (
     identity_similarity,
     make_report,
     off_diagonal_sum,
-    score_method,
+    score_methods,
     variation_matrix,
 )
 
@@ -123,14 +123,21 @@ def always_succeeds(latents, k, classify_fn, threshold):
     return latents + 10.0, np.ones(latents.shape[0], bool)
 
 
+def score_one(search, classify, sample, n, seed, embed=lambda w: w):
+    """The report block of one method scored on one attribute."""
+    return score_methods({"stub": search}, classify, embed, sample, 1, n=n,
+                         threshold=0.9, seed=seed)["stub"]
+
+
 class TestBuildEditPairs:
     def test_collects_negative_pairs(self):
-        classify = lambda w: 1 / (1 + np.exp(-w[:, :2]))
+        classify = lambda w: 1 / (1 + np.exp(-w[:, :1]))
         sample = lambda n, s: np.random.default_rng(s).normal(size=(n, 4))
-        pairs = build_edit_pairs(always_succeeds, classify, sample,
-                                 k=0, n=200, seed=1)
-        assert pairs.n_success == pairs.n_negatives > 0
-        assert pairs.success_rate == 1.0
+        block = score_one(always_succeeds, classify, sample, n=200, seed=1)
+        n_neg = np.count_nonzero(classify(sample(200, 1))[:, 0] < 0.5)
+        assert block["n_success"] == block["n_negatives"] == [n_neg]
+        assert n_neg > 0
+        assert block["well_edited_rates"] == [1.0]
 
     def test_no_negatives_warns(self):
         classify = lambda w: np.full((w.shape[0], 1), 0.99)
@@ -143,19 +150,31 @@ class TestBuildEditPairs:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pairs = build_edit_pairs(search, classify, sample, k=0, n=50, seed=2)
-        assert searched == [(0, 4)]  # the empty batch goes through the search
+            block = score_one(search, classify, sample, n=50, seed=2)
+            pairs = build_edit_pairs(search, classify, np.empty((0, 4)), k=0)
+        # the empty batch goes through the search
+        assert searched == [(0, 4), (0, 4)]
         assert pairs.negatives.shape == pairs.positives.shape == (0, 4)
         assert pairs.n_negatives == pairs.n_success == 0
         assert np.isnan(pairs.success_rate)
+        assert block["n_negatives"] == block["n_success"] == [0]
+        assert np.isnan(block["well_edited_rates"][0])
 
     def test_seeded_reproducible(self):
         classify = lambda w: 1 / (1 + np.exp(-w[:, :1]))
         sample = lambda n, s: np.random.default_rng(s).normal(size=(n, 3))
-        p1 = build_edit_pairs(always_succeeds, classify, sample, 0, 100, seed=3)
-        p2 = build_edit_pairs(always_succeeds, classify, sample, 0, 100, seed=3)
-        np.testing.assert_array_equal(p1.negatives, p2.negatives)
-        np.testing.assert_array_equal(p1.positives, p2.positives)
+        runs = []
+        for _ in range(2):
+            searched = []
+
+            def search(latents, k, classify_fn, threshold):
+                searched.append(latents)
+                return always_succeeds(latents, k, classify_fn, threshold)
+
+            block = score_one(search, classify, sample, n=100, seed=3)
+            runs.append((searched[0], repr(block)))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
 
 
 REPORT_KEYS = {"well_edited_rates", "n_negatives", "n_success",
@@ -163,7 +182,7 @@ REPORT_KEYS = {"well_edited_rates", "n_negatives", "n_success",
                "frechet_distances"}
 
 
-class TestScoreMethod:
+class TestScoreMethods:
     # attribute 0 succeeds on every negative, attribute 1 on exactly m of
     # them, attribute 2 never
     M, K = 4, 3
@@ -181,10 +200,15 @@ class TestScoreMethod:
         edited[success, k] = 3.0
         return edited, success
 
+    def negatives(self, k, n, seed):
+        latents = self.sample(n, seed + k)
+        return latents[self.classify(latents)[:, k] < 0.5]
+
     def test_unknown_figures(self):
         embed = lambda w: w
-        block = score_method(self.search, self.classify, embed, self.sample,
-                             self.K, n=200, threshold=0.9, seed=10)
+        block = score_methods({"stub": self.search}, self.classify, embed,
+                              self.sample, self.K, n=200, threshold=0.9,
+                              seed=10)["stub"]
         assert set(block) == REPORT_KEYS
         assert block["n_success"] == [block["n_negatives"][0], self.M, 0]
         mat = block["variation_matrix"]
@@ -193,8 +217,8 @@ class TestScoreMethod:
         off = sum(abs(mat[i, j]) for i in range(2) for j in range(self.K)
                   if i != j)
         assert block["off_diagonal_sum"] == pytest.approx(off, rel=1e-12)
-        pairs = [build_edit_pairs(self.search, self.classify, self.sample, k,
-                                  n=200, threshold=0.9, seed=10 + k)
+        pairs = [build_edit_pairs(self.search, self.classify,
+                                  self.negatives(k, 200, 10), k)
                  for k in range(2)]
         assert block["identity_similarity"] == pytest.approx(
             np.mean([identity_similarity(p, embed) for p in pairs]))
@@ -206,6 +230,39 @@ class TestScoreMethod:
         report = make_report(config={}, seeds={}, amplitude_grid=(0.9,),
                              threshold=0.9, methods={"stub": block})
         assert set(report["methods"]["stub"]) == REPORT_KEYS
+
+    def test_one_draw_per_attribute_shared_by_every_method(self):
+        # each attribute's latents are drawn and classified once, not once
+        # per method, and every method searches the same negatives
+        drawn, classified, searched = [], [], {"a": [], "b": []}
+
+        def sample(n, seed):
+            drawn.append(seed)
+            return self.sample(n, seed)
+
+        def classify(w):
+            classified.append(w)
+            return self.classify(w)
+
+        def recording(name):
+            def search(latents, k, classify_fn, threshold):
+                searched[name].append(latents)
+                return self.search(latents, k, classify_fn, threshold)
+            return search
+
+        blocks = score_methods({"a": recording("a"), "b": recording("b")},
+                               classify, lambda w: w, sample, self.K, n=200,
+                               threshold=0.9, seed=10)
+        assert list(blocks) == ["a", "b"]
+        assert drawn == [10, 11, 12]
+        on_samples = [w for w in classified if w.shape[0] == 200]
+        assert len(on_samples) == self.K
+        for k in range(self.K):
+            assert searched["a"][k] is searched["b"][k]
+            np.testing.assert_array_equal(searched["a"][k],
+                                          self.negatives(k, 200, 10))
+        assert blocks["a"]["n_negatives"] == blocks["b"]["n_negatives"]
+        assert repr(blocks["a"]) == repr(blocks["b"])
 
 
 class TestReport:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentaxes import training
+from latentaxes import gaussianize, oracle, pca, training
 from latentaxes.errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -409,6 +409,23 @@ class TestTrain:
         assert str(info.value).startswith("epoch 0, batch at position 32 "
                                           "(first row ")
 
+    @pytest.mark.parametrize("alpha", [1e20, 1e38])
+    def test_an_overflowing_second_moment_is_refused(self, alpha):
+        # float32 Adam squares each gradient entry: above about 1.8e19 the
+        # square is inf, so is that entry's v, and m / inf gives it a zero
+        # step for the rest of the run, though every loss stays finite
+        world = oracle.make_world(12, 2, 4, seed=3)
+        latents, attrs = oracle.build_dataset(world, 500, seed=4)
+        top = pca.project(pca.fit_pca(latents, 8), latents).top
+        gauss = gaussianize.gaussianize_columns(gaussianize.fit_transform(attrs),
+                                                attrs)
+        cfg = TrainConfig(alpha=alpha, beta=0.5, epochs=3, batch_size=64,
+                          learning_rate=1e-3, hidden_size=8, n_layers=2, seed=1)
+        with np.errstate(over="ignore"), pytest.raises(NonFinite, match=(
+                r"^epoch \d+, batch at position \d+ \(first row \d+\): "
+                r"encoder Adam second moment is not finite$")):
+            train(top, gauss, cfg)
+
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("epochs", -1), ("hidden_size", 0), ("n_layers", 0),
         ("learning_rate", -1.0), ("learning_rate", 0.0),
@@ -515,7 +532,8 @@ class TestTrain:
     def test_save_model_refuses_sizes_the_config_does_not_give(self, tmp_path):
         with pytest.raises(DimensionMismatch, match=r"\[10, 16, 16, 10\] are "
                                                     r"not \[10, 512, "):
-            training.save_model(small_model(), TrainConfig(), tmp_path)
+            training.save_model(small_model(),
+                                TrainConfig(hidden_size=512, n_layers=8), tmp_path)
         model = small_model()
         model.decoder = init_params(1, [10, 16, 16, 16, 10])
         with pytest.raises(DimensionMismatch, match="16, 16, 16"):

@@ -1,5 +1,5 @@
 """Print criteria 5 and 6's figures for the acceptance desk models at
-training seeds 1 to 5.
+training seeds 0 to 5: seed 0 is the CLI's default, seed 1 the pinned one.
 
     python3 tools/seed_sweep.py
 
@@ -25,7 +25,7 @@ from latentaxes import training  # noqa: E402
 from test_acceptance import (criterion_5_figures, criterion_6_match,  # noqa: E402
                              train_desk)
 
-SEEDS = (1, 2, 3, 4, 5)
+SEEDS = (0, 1, 2, 3, 4, 5)
 
 
 def main() -> int:
