@@ -7,7 +7,7 @@ amplitude search bisects a grid of targets expressed as quantiles, which
 makes the schedule independent of any per-attribute scale.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def set_attribute(code: EditableCode, k: int, value: float) -> EditableCode:
         raise IndexError(f"attribute index {k} out of range")
     slots = code.slots.copy()
     slots[..., k] = value
-    return replace(code, slots=slots)
+    return EditableCode(slots, code.residual, code.n_attributes)
 
 
 def edit(pipeline: EditPipeline, w: np.ndarray, k: int,
@@ -87,7 +87,8 @@ def search_positive(pipeline: EditPipeline, latents: np.ndarray, k: int,
     targets = inv_norm_cdf(AMPLITUDE_QUANTILES)
 
     def candidate(idx, rows):
-        sub = replace(code, slots=code.slots[rows], residual=code.residual[rows])
+        sub = EditableCode(code.slots[rows], code.residual[rows],
+                           code.n_attributes)
         return decode(pipeline, set_attribute(sub, k, targets[idx]))
 
     return first_hit(latents, k, classify_fn, threshold,

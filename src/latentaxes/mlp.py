@@ -7,6 +7,14 @@ Adam's two moments are buffers of that layout, so one update is a few
 vector operations over the whole net. The forward pass caches each layer's
 input for the backward pass.
 
+``flat`` starts on a 64-byte boundary, a cache line, so with a hidden size
+that is a multiple of 16 every weight and bias view does too. A single-row
+forward (one edit) is a gemv that reads the weight rows directly; where
+the heap put ``flat`` 16 bytes past a line, each row straddled lines, and a
+1 x 128 by 128 x 128 float64 product took 3.4 us against 2.3-3.1 us aligned
+(OpenBLAS SkylakeX core, one thread), so the edit's speed followed heap
+placement.
+
 A net computes in the dtype of its buffer: float32 when every array it was
 built from is float32, float64 otherwise; Adam's moments and the gradient
 it takes are in that dtype too.
@@ -19,6 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonFinite
 
 LEAKY_SLOPE = 0.01  # of every hidden layer's LeakyReLU
+ALIGN = 64  # bytes: where each net's flat buffer starts
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
@@ -28,12 +37,16 @@ class MlpParams:
     biases: list   # biases[i]: (sizes[i+1],), a view into flat
     flat: np.ndarray = field(init=False, repr=False)  # w0, b0, w1, b1, ...
 
-    def __post_init__(self):  # copies the arrays into flat
+    def __post_init__(self):  # copies the arrays into flat, ALIGN-aligned
         arrays = [np.asarray(a) for pair in zip(self.weights, self.biases)
                   for a in pair]
-        dtype = (np.float32 if all(a.dtype == np.float32 for a in arrays)
-                 else np.float64)
-        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=dtype)
+        dtype = np.dtype(np.float32 if all(a.dtype == np.float32 for a in arrays)
+                         else np.float64)
+        nbytes = sum(a.size for a in arrays) * dtype.itemsize
+        raw = np.empty(nbytes + ALIGN, dtype=np.uint8)
+        start = -raw.ctypes.data % ALIGN
+        self.flat = raw[start : start + nbytes].view(dtype)
+        np.concatenate([np.ravel(a) for a in arrays], out=self.flat)
         self.weights, self.biases = self.views(self.flat)
 
     def views(self, buffer: np.ndarray):

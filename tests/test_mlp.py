@@ -278,8 +278,23 @@ def test_backward_writes_gradient_like_flat():
     np.testing.assert_array_equal(p.views(grad)[1][1], [6.0, 6.0])  # sum of ones
 
 
+# hidden sizes a multiple of 16 start every float32 or float64 view on a
+# cache line; each test checks several nets, as one small buffer can be
+# 64-byte aligned by chance
+ALIGNED_SIZES = ([5, 16, 16, 5], [3, 32, 7], [12, 128, 128, 12])
+
+
+def assert_on_cache_lines(nets):
+    for p in nets:
+        for a in [p.flat] + p.weights + p.biases:
+            assert a.ctypes.data % 64 == 0
+
+
 def test_weights_and_biases_are_views_of_flat():
     p = mlp.init_params(0, [3, 4, 2])
+    assert p.flat.ctypes.data % 64 == 0
+    assert [a.ctypes.data - p.flat.ctypes.data for a in (
+        p.weights[0], p.biases[0], p.weights[1], p.biases[1])] == [0, 96, 128, 192]
     assert p.flat.ndim == 1
     assert p.flat.size == sum(w.size + b.size for w, b in zip(p.weights, p.biases))
     for a in p.weights + p.biases:
@@ -291,6 +306,9 @@ def test_weights_and_biases_are_views_of_flat():
         np.testing.assert_array_equal(a, -1.0)
     p.biases[0] += 3.0
     np.testing.assert_array_equal(p.flat[12:16], 2.0)  # w0 is 3 x 4
+    nets = [mlp.init_params(seed, sizes) for seed in (0, 1)
+            for sizes in ALIGNED_SIZES]
+    assert_on_cache_lines(nets)
 
 
 def test_copy_shares_no_memory():
@@ -302,6 +320,14 @@ def test_copy_shares_no_memory():
     q.biases[1][0] += 1.0
     assert p.weights[0][0, 0] != q.weights[0][0, 0]
     assert p.biases[1][0] != q.biases[1][0]
+    nets = [mlp.init_params(seed, sizes) for seed in (0, 1)
+            for sizes in ALIGNED_SIZES]
+    copies = [(net, net.astype(dtype)) for net in nets
+              for dtype in (np.float32, np.float64)]
+    assert q.flat.ctypes.data % 64 == 0
+    assert_on_cache_lines([copy for _, copy in copies])
+    for net, copy in copies:
+        assert same_bits(copy.flat, net.flat.astype(copy.flat.dtype))
 
 
 def test_params_from_int_and_non_contiguous_arrays():

@@ -409,6 +409,7 @@ class TestTrain:
         assert str(info.value).startswith("epoch 0, batch at position 32 "
                                           "(first row ")
 
+    @pytest.mark.filterwarnings("error")  # the NonFinite alone reports it
     @pytest.mark.parametrize("alpha", [1e20, 1e38])
     def test_an_overflowing_second_moment_is_refused(self, alpha):
         # float32 Adam squares each gradient entry: above about 1.8e19 the
@@ -421,7 +422,7 @@ class TestTrain:
                                                 attrs)
         cfg = TrainConfig(alpha=alpha, beta=0.5, epochs=3, batch_size=64,
                           learning_rate=1e-3, hidden_size=8, n_layers=2, seed=1)
-        with np.errstate(over="ignore"), pytest.raises(NonFinite, match=(
+        with pytest.raises(NonFinite, match=(
                 r"^epoch \d+, batch at position \d+ \(first row \d+\): "
                 r"encoder Adam second moment is not finite$")):
             train(top, gauss, cfg)
@@ -490,6 +491,13 @@ class TestTrain:
         assert loaded_cfg == cfg
         for w1, w2 in zip(model.decoder.weights, loaded.decoder.weights):
             np.testing.assert_array_equal(w1, w2)
+        # every net starts each float64 view on a cache line (hidden size
+        # 16); six nets, as one small buffer can be 64-byte aligned by chance
+        again, _ = training.load_model(tmp_path)
+        for m in (model, loaded, again):
+            for net in (m.encoder, m.decoder):
+                for a in [net.flat] + net.weights + net.biases:
+                    assert a.ctypes.data % 64 == 0
 
     @pytest.mark.parametrize("slope", [1.5, 1.0, -0.01, float("nan"), True,
                                        "0.01", None])
