@@ -7,13 +7,9 @@ Adam's two moments are buffers of that layout, so one update is a few
 vector operations over the whole net. The forward pass caches each layer's
 input for the backward pass.
 
-``flat`` starts on a 64-byte boundary, a cache line, so with a hidden size
-that is a multiple of 16 every weight and bias view does too. A single-row
-forward (one edit) is a gemv that reads the weight rows directly; where
-the heap put ``flat`` 16 bytes past a line, each row straddled lines, and a
-1 x 128 by 128 x 128 float64 product took 3.4 us against 2.3-3.1 us aligned
-(OpenBLAS SkylakeX core, one thread), so the edit's speed followed heap
-placement.
+``flat`` starts on a 64-byte boundary, so with a hidden size that is a
+multiple of 16 every weight and bias view starts on a cache line, which a
+single-row forward (one edit, a gemv) reads directly.
 
 A net computes in the dtype of its buffer: float32 when every array it was
 built from is float32, float64 otherwise; Adam's moments and the gradient

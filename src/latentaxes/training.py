@@ -213,34 +213,32 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
 
     history = []
-    # an overflow or NaN surfaces as a NonFinite naming the epoch and
-    # batch, so numpy's warning about it would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            sums = {"recons": 0.0, "attr": 0.0, "corr": 0.0}
-            count = 0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                if idx.size < cfg.min_batch:
-                    idx = order[-cfg.min_batch:]
-                try:
-                    *grads, comps = backward(model, x[idx], a[idx], cfg, gamma)
-                    for name, net, grad, state in zip(("encoder", "decoder"),
-                                                      nets, grads, states):
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        sums = {"recons": 0.0, "attr": 0.0, "corr": 0.0}
+        count = 0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            if idx.size < cfg.min_batch:
+                idx = order[-cfg.min_batch:]
+            try:
+                *grads, comps = backward(model, x[idx], a[idx], cfg, gamma)
+                for name, net, grad, state in zip(("encoder", "decoder"), nets,
+                                                  grads, states):
+                    # an overflow leaves v non-finite: the check reports it
+                    with np.errstate(over="ignore", invalid="ignore"):
                         adam_step(net, grad, state, cfg.learning_rate)
-                        if not np.isfinite(np.max(state.v)):  # m / inf: no step
-                            raise NonFinite(f"{name} Adam second moment is "
-                                            "not finite")
-                except NonFinite as exc:
-                    raise NonFinite(f"epoch {epoch}, batch at position {start} "
-                                    f"(first row {idx[0]}): {exc}") from exc
-                for key in sums:
-                    sums[key] += comps[key] * idx.size
-                count += idx.size
-            epoch_stats = {key: sums[key] / count for key in sums}
-            epoch_stats["total"] = weighted_total(epoch_stats, cfg)
-            history.append(epoch_stats)
+                    if not np.isfinite(np.max(state.v)):  # m / inf: no step
+                        raise NonFinite(f"{name} Adam second moment is not finite")
+            except NonFinite as exc:
+                raise NonFinite(f"epoch {epoch}, batch at position {start} "
+                                f"(first row {idx[0]}): {exc}") from exc
+            for key in sums:
+                sums[key] += comps[key] * idx.size
+            count += idx.size
+        epoch_stats = {key: sums[key] / count for key in sums}
+        epoch_stats["total"] = weighted_total(epoch_stats, cfg)
+        history.append(epoch_stats)
     return EncoderDecoder(*(net.astype(np.float64) for net in nets),
                           n_attributes=k), history
 

@@ -2,18 +2,21 @@
 write every run's end-to-end metrics to ``BENCH_<label>.json`` at the root
 of each checkout.
 
-    python3 tools/bench.py --label main --pairs 10 --seconds 30 --first-seed 1
-    python3 tools/bench.py --label main --against ../parent \\
-        --against-label 86ec8fa --pairs 10 --seconds 30 --first-seed 1
+    python3 tools/bench.py --label main --pairs 10 --first-seed 1
+    python3 tools/bench.py --label main --against ../parent --pairs 10 \\
+        --first-seed 1
 
 Run i (pair i, with ``--against``) runs
 
     python3 perfbench/run.py --workload all --seed <first-seed + i> \\
-        --seconds <seconds> --trace 0
+        --seconds <run_seconds> --trace 0
 
 in the root of its checkout, so each side runs its own source and its own
-benchmark. With ``--against`` both sides of a pair take the same seed, and
-the side that runs first alternates, this checkout first in pair 0.
+benchmark, for the ``run_seconds`` of this checkout's ``BENCHMARK.json``.
+With ``--against`` both sides of a pair take the same seed, and the side
+that runs first alternates, this checkout first in pair 0. The second
+checkout's file is named by the first seven characters of the
+``git_commit`` its runs report, so it must be a git checkout.
 
 A BENCH file holds the seeds, the run length, the order of the sides, the
 ``environment`` line of the side's first run, the OpenBLAS core numpy's
@@ -79,6 +82,7 @@ def summary(values):
 
 
 def bench_record(label, against, seconds, core, side):
+    """The BENCH file of one side, from the runs it has finished."""
     metrics = {}
     for run in side["results"]:
         for key, entry in run["metrics"].items():
@@ -110,27 +114,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--against", type=Path)
-    parser.add_argument("--against-label")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
     args = parser.parse_args(argv)
-    labels = [args.label] + ([args.against_label] if args.against else [])
-    if (args.against is None) != (args.against_label is None):
-        parser.error("--against and --against-label go together")
-    if any(not re.fullmatch(r"[\w.-]+", label) for label in labels) or (
-            len(set(labels)) != len(labels)):
-        parser.error("labels must be distinct words of letters, digits, '.', "
-                     "'_' and '-'")
-    if args.pairs < 1 or not args.seconds > 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
+    if not re.fullmatch(r"[\w.-]+", args.label):
+        parser.error("--label must be a word of letters, digits, '.', '_' "
+                     "and '-'")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
     checkouts = [ROOT] + ([args.against.resolve()] if args.against else [])
     for checkout in checkouts:
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} has no perfbench/run.py")
 
-    against = labels[::-1] if args.against else [None]
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     core = openblas_core()
+    labels = [args.label]  # the second side's joins after its first run
     sides = [{"seeds": [], "first": [], "results": [], "environment": None}
              for _ in checkouts]
     for i in range(args.pairs):
@@ -139,17 +138,22 @@ def main(argv=None) -> int:
         if i % 2:
             order.reverse()
         for position, s in enumerate(order):
-            result, env = run_once(checkouts[s], seed, args.seconds)
+            result, env = run_once(checkouts[s], seed, seconds)
             side = sides[s]
             side["seeds"].append(seed)
             side["first"].append(position == 0)
             side["results"].append(result)
             side["environment"] = side["environment"] or env
+            if len(labels) == s:  # this side's first run names it
+                if not env["git_commit"]:
+                    sys.exit(f"{checkouts[s]} is not a git checkout")
+                labels.append(env["git_commit"][:7])
             print(f"pair {i} seed {seed} {labels[s]}: " + ", ".join(
                 f"{key} {entry['value']}" for key, entry
                 in result["metrics"].items() if key.endswith("op_latency_ms")),
                 flush=True)
-        records = [bench_record(*names, args.seconds, core, side)
+        against = labels[::-1] if args.against else [None]
+        records = [bench_record(*names, seconds, core, side)
                    for *names, side in zip(labels, against, sides)]
         for checkout, label, record in zip(checkouts, labels, records):
             (checkout / f"BENCH_{label}.json").write_text(
