@@ -8,6 +8,7 @@ makes the schedule independent of any per-attribute scale.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,7 @@ DEFAULT_AMPLITUDE_QUANTILES = (
 )
 
 
-@dataclass(frozen=True)
-class EditableCode:
+class EditableCode(NamedTuple):  # built per edit: lighter than a dataclass
     slots: np.ndarray     # (d,) or (n, d): K attribute slots, then d - K free
     residual: np.ndarray  # (m - d,) or (n, m - d)
     n_attributes: int

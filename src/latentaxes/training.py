@@ -117,7 +117,8 @@ def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
     """Gradients of the objective, each laid out like its net's flat
     buffer, and the objective's components, which ``weighted_total``
     weighs (corr is 0 in variant A and when beta is 0): returns (enc_grad,
-    dec_grad, {"recons", "attr", "corr"})."""
+    dec_grad, {"recons", "attr", "corr"}). A non-finite component or
+    gradient is a NonFinite naming it."""
     b = x.shape[0]
     k = attrs.shape[1]
     codes, acts_e = mlp_forward(model.encoder, x)
@@ -137,6 +138,9 @@ def backward(model: EncoderDecoder, x: np.ndarray, attrs: np.ndarray,
         c_loss, c_grad = corr_loss_and_grad(codes[:, :k], gamma_ref)
         comps["corr"] = c_loss
         grad_codes[:, :k] += cfg.beta * c_grad
+    for name, value in comps.items():
+        if not np.isfinite(value):
+            raise NonFinite(f"non-finite {name} loss component")
 
     # input_grad False: nothing reads the gradient of the encoder's input
     enc_grad, _ = mlp_backward(model.encoder, acts_e, grad_codes, False)
@@ -174,8 +178,9 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
     """Train the autoencoder on pre-projected latents and gaussianized
     attributes. The code has as many slots as the input has coordinates.
     Deterministic given (config, data). Computes in float32 (see the module
-    docstring). A non-finite gradient, or an Adam second moment that
-    overflows float32, is a NonFinite naming the epoch and batch.
+    docstring). A non-finite loss component or gradient, or an Adam second
+    moment that overflows float32, is a NonFinite naming the epoch and
+    batch, with no numpy warning before it.
 
     Returns (EncoderDecoder, history): the float64 model, and one dict of
     sample-weighted component means per epoch.
@@ -222,14 +227,17 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
             if idx.size < cfg.min_batch:
                 idx = order[-cfg.min_batch:]
             try:
-                *grads, comps = backward(model, x[idx], a[idx], cfg, gamma)
-                for name, net, grad, state in zip(("encoder", "decoder"), nets,
-                                                  grads, states):
-                    # an overflow leaves v non-finite: the check reports it
-                    with np.errstate(over="ignore", invalid="ignore"):
+                # every overflow is reported by a check that names it, not by
+                # numpy: backward checks the loss components and the
+                # gradients, and an overflow in Adam leaves v non-finite
+                with np.errstate(over="ignore", invalid="ignore"):
+                    *grads, comps = backward(model, x[idx], a[idx], cfg, gamma)
+                    for name, net, grad, state in zip(("encoder", "decoder"),
+                                                      nets, grads, states):
                         adam_step(net, grad, state, cfg.learning_rate)
-                    if not np.isfinite(np.max(state.v)):  # m / inf: no step
-                        raise NonFinite(f"{name} Adam second moment is not finite")
+                        if not np.isfinite(np.max(state.v)):  # m / inf: no step
+                            raise NonFinite(f"{name} Adam second moment is "
+                                            "not finite")
             except NonFinite as exc:
                 raise NonFinite(f"epoch {epoch}, batch at position {start} "
                                 f"(first row {idx[0]}): {exc}") from exc

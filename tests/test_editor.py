@@ -151,6 +151,23 @@ def test_edit_noop_equals_reconstruction(setup):
     np.testing.assert_array_equal(noop, recon)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_single_edits_match_the_batched_edit(setup, k):
+    # the slider's precision contract: a one-row edit equals that row of a
+    # batched edit within 1e-12, and the PCA residual moves by at most 1e-9
+    world, pipe, latents = setup
+    assert pipe.model.n_attributes == 2
+    rows = latents[:20]
+    for q in (0.1, 0.75, 0.999):
+        t = gaussianize.inv_norm_cdf(q)
+        batched = editor.edit(pipe, rows, k, t)
+        single = np.stack([editor.edit(pipe, w, k, t) for w in rows])
+        np.testing.assert_allclose(single, batched, rtol=0, atol=1e-12)
+        drift = (pca.project(pipe.pca, single).residual
+                 - pca.project(pipe.pca, rows).residual)
+        assert np.abs(drift).max() <= 1e-9
+
+
 def test_reconstruction_error_small_after_training(setup):
     world, pipe, latents = setup
     held = oracle.sample_w(world, 256, 23)

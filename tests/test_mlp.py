@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,13 @@ def test_leaky_relu_propagates():
                       [np.zeros(1), np.zeros(1)])
     y, _ = mlp.mlp_forward(p, np.array([[-1.0]]))
     assert y[0, 0] == pytest.approx(-mlp.LEAKY_SLOPE)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 4, 3)])
+def test_forward_refuses_inputs_not_1d_or_2d(shape):
+    p = mlp.init_params(0, [3, 5, 2])
+    with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape}")):
+        mlp.mlp_forward(p, np.ones(shape))
 
 
 def test_forward_dim_check():
@@ -202,6 +211,21 @@ def test_forward_backward_bit_identical_to_where_reference(seed, slope):
         assert same_bits(g, w)
     assert same_bits(grad_in, want_in)
     assert same_bits(grad_out, grad_out_before)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_row_forward_bit_identical_to_where_reference(seed, dtype):
+    # an edit forwards one 1-D row: it keeps the bits of the @ reference
+    p, x = zero_pre_activation_net(seed)
+    p = p.astype(dtype)
+    for row in x.astype(dtype):
+        y, acts = mlp.mlp_forward(p, row)
+        ref_y, (ref_acts, _) = where_forward(p.weights, p.biases, row,
+                                             mlp.LEAKY_SLOPE)
+        assert same_bits(y, ref_y)
+        for got, want in zip(acts, ref_acts, strict=True):
+            assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5])

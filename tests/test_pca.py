@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,27 @@ def test_dimension_mismatch(gaussian_model):
     model, _ = gaussian_model
     with pytest.raises(DimensionMismatch):
         pca.project(model, np.zeros(5))
+
+
+@pytest.mark.parametrize("w, top, residual", [
+    ((), (), ()), ((2, 5, 12), (2, 5, 4), (2, 5, 8))])
+def test_project_and_reconstruct_refuse_inputs_not_1d_or_2d(gaussian_model,
+                                                            w, top, residual):
+    model, _ = gaussian_model  # m = 12, split 4
+    with pytest.raises(DimensionMismatch, match=re.escape(f"shape {w}")):
+        pca.project(model, np.ones(w))
+    with pytest.raises(DimensionMismatch, match=re.escape(f"shape {top}")):
+        pca.reconstruct(model, pca.PcaSplit(np.ones(top), np.ones(residual)))
+
+
+def test_one_vector_keeps_the_bits_of_the_matmul(gaussian_model):
+    model, data = gaussian_model
+    for w in data[:5]:
+        split = pca.project(model, w)
+        t = (w - model.mean) @ model.basis
+        assert np.concatenate([split.top, split.residual]).tobytes() == t.tobytes()
+        back = pca.reconstruct(model, split)
+        assert back.tobytes() == (model.mean + t @ model.basis.T).tobytes()
 
 
 def test_batch_project(gaussian_model):

@@ -427,6 +427,18 @@ class TestTrain:
                 r"encoder Adam second moment is not finite$")):
             train(top, gauss, cfg)
 
+    @pytest.mark.filterwarnings("error")  # the NonFinite alone reports it
+    @pytest.mark.parametrize("x_scale, attr_scale, alpha", [
+        (1e19, 1.0, 1.0),    # float32 products overflow in backward
+        (1.0, 1e200, 0.0)])  # the attr loss overflows; its gradient is 0
+    def test_an_overflow_in_backward_is_refused(self, x_scale, attr_scale,
+                                                alpha):
+        x, attrs = self.make_data(d=16, k=4)
+        cfg = TrainConfig(alpha=alpha, epochs=2, batch_size=64, hidden_size=16,
+                          n_layers=2)
+        with pytest.raises(NonFinite, match=r"^epoch 0, batch at position "):
+            train(x * x_scale, attrs * attr_scale, cfg)
+
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("epochs", -1), ("hidden_size", 0), ("n_layers", 0),
         ("learning_rate", -1.0), ("learning_rate", 0.0),

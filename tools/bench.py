@@ -26,6 +26,12 @@ run's value, in seed order, with their median and quartiles (the inclusive
 method of ``statistics.quantiles``, which is numpy's default percentile).
 The files are rewritten after every pair, so an interrupted session keeps
 the pairs it finished.
+
+The closing summary prints each workload's metrics: each side's median and
+quartiles and, with ``--against``, for each end-to-end metric of
+``BENCHMARK.json``, how many pairs this checkout won by its ``better`` (a
+tie counts for neither side), the gap between the two medians (positive
+where this checkout is better) and the second side's quartile distance.
 """
 
 import argparse
@@ -81,6 +87,28 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def fmt(value):
+    return "n/a" if value is None else f"{value:.6g}"
+
+
+def pair_verdict(mine, theirs, better):
+    """For one metric of two sides' records: the pairs mine won by
+    ``better`` ("lower" or "higher"; ties and missing values count for
+    neither side), the pairs with both values, the median gap (theirs
+    minus mine where lower is better, so positive favours mine) and the
+    quartile distance of theirs."""
+    def gain(a, b):  # of a over b
+        return b - a if better == "lower" else a - b
+
+    pairs = [(a, b) for a, b in zip(mine["values"], theirs["values"])
+             if a is not None and b is not None]
+    won = sum(gain(a, b) > 0 for a, b in pairs)
+    if mine["median"] is None or theirs["median"] is None:
+        return won, len(pairs), None, None
+    return (won, len(pairs), gain(mine["median"], theirs["median"]),
+            theirs["q3"] - theirs["q1"])
+
+
 def bench_record(label, against, seconds, core, side):
     """The BENCH file of one side, from the runs it has finished."""
     metrics = {}
@@ -127,7 +155,10 @@ def main(argv=None) -> int:
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} has no perfbench/run.py")
 
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    better = {metric["name"]: metric["better"]
+              for metric in benchmark["end_to_end"]}
     core = openblas_core()
     labels = [args.label]  # the second side's joins after its first run
     sides = [{"seeds": [], "first": [], "results": [], "environment": None}
@@ -160,12 +191,20 @@ def main(argv=None) -> int:
                 json.dumps(record, indent=2) + "\n")
     for workload, names in records[0]["metrics"].items():
         for name in names:
-            print(f"{workload}.{name}: " + "; ".join(
+            line = f"{workload}.{name}: " + "; ".join(
                 "{} median {median} [{q1}, {q3}]".format(label, **{
-                    key: "n/a" if value is None else f"{value:.6g}"
+                    key: fmt(value)
                     for key, value in record["metrics"][workload][name].items()
                     if key in ("median", "q1", "q3")})
-                for label, record in zip(labels, records)))
+                for label, record in zip(labels, records))
+            if args.against and name in better:
+                won, n, gap, spread = pair_verdict(
+                    *(record["metrics"][workload][name] for record in records),
+                    better[name])
+                line += (f"; {labels[0]} won {won} of {n} pairs, median gap "
+                         f"{fmt(gap)} in its favour, {labels[1]}'s quartile "
+                         f"distance {fmt(spread)}")
+            print(line)
     return 0
 
 
