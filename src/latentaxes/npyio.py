@@ -3,9 +3,9 @@
 and for a NaN or infinity, and the checked reader of the JSON metadata files
 that sit beside them in a workspace.
 
-Only the subset needed for latent/attribute interchange is supported:
-version 1.0, little-endian float32/float64, C-order, rank 2. Anything else
-is a BadNpyFile naming the file, so malformed dumps fail loudly.
+Only rank-2, C-order v1.0 files of little-endian float32 or float64 are
+supported, read as float64 and written in the matrix's own width. Anything
+else is a BadNpyFile naming the file, so malformed dumps fail loudly.
 """
 
 import json
@@ -71,8 +71,10 @@ def read_matrix(path, want=(None, None), source="") -> np.ndarray:
 
 
 def write_matrix(matrix: np.ndarray, path) -> None:
-    """Write a 2-D finite matrix as .npy v1.0, dtype <f8, C-order."""
-    m = np.ascontiguousarray(matrix, dtype=np.float64)
+    """Write a 2-D finite matrix as .npy v1.0, C-order: <f4 if it is
+    float32, else <f8, so no value is narrowed."""
+    m = np.asarray(matrix)
+    m = np.ascontiguousarray(m, np.float32 if m.dtype == np.float32 else np.float64)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected 2-D matrix, got ndim={m.ndim}")
     check_finite_rows(f"{path}: data", m)

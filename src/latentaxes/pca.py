@@ -116,7 +116,11 @@ def project(model: PcaModel, w: np.ndarray) -> PcaSplit:
 def reconstruct(model: PcaModel, split: PcaSplit) -> np.ndarray:
     top = _check_vec(split.top, model.split, "top")
     residual = _check_vec(split.residual, model.dim - model.split, "residual")
-    t = np.concatenate([top, residual], axis=-1)
+    try:  # no shape compare on the slider's path: concatenate makes it
+        t = np.concatenate([top, residual], axis=-1)
+    except ValueError as exc:  # a rank or a row count that differs
+        raise DimensionMismatch(f"top of shape {top.shape} and residual of "
+                                f"shape {residual.shape} do not pair") from exc
     return model.mean + t.dot(model.basis.T)
 
 

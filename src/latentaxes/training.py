@@ -10,9 +10,9 @@ objective; the optimizer is Adam.
 
 Precision: ``train`` computes and updates in float32 (the nets, their
 gradients and Adam's moments; the loss components and the correlation
-kernel are float64), and it returns a float64 model, which is saved and
-loaded in float64. Outside ``train``, every function here computes in the
-dtype of the nets it is given.
+kernel are float64) and returns that float32 model, which is saved as
+``<f4`` and loaded as float64. Outside ``train``, every function here
+computes in the dtype of the nets it is given.
 """
 
 import json
@@ -182,8 +182,8 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
     moment that overflows float32, is a NonFinite naming the epoch and
     batch, with no numpy warning before it.
 
-    Returns (EncoderDecoder, history): the float64 model, and one dict of
-    sample-weighted component means per epoch.
+    Returns (EncoderDecoder, history): the float32 model it trained, and
+    one dict of sample-weighted component means per epoch.
     """
     check_config(cfg)
     x = np.asarray(latents_top, dtype=np.float64)
@@ -247,8 +247,7 @@ def train(latents_top: np.ndarray, attrs_gauss: np.ndarray, cfg: TrainConfig):
         epoch_stats = {key: sums[key] / count for key in sums}
         epoch_stats["total"] = weighted_total(epoch_stats, cfg)
         history.append(epoch_stats)
-    return EncoderDecoder(*(net.astype(np.float64) for net in nets),
-                          n_attributes=k), history
+    return model, history
 
 
 def layer_sizes(code_size: int, cfg: TrainConfig) -> list:

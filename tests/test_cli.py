@@ -113,6 +113,26 @@ def test_edit_roundtrip(workspace, tmp_path):
         assert not bad.exists()
 
 
+def test_model_files_written_as_f8_edit_to_the_same_bits(workspace, tmp_path):
+    # train writes its float32 model as <f4; the <f8 files of earlier
+    # versions hold the same values and still load, with no retraining
+    src = tmp_path / "batch.npy"
+    npyio.write_matrix(npyio.read_matrix(workspace / "latents.npy")[:7], src)
+    ws = shutil.copytree(workspace, tmp_path / "ws")
+    files = [p for p in ws.iterdir() if p.name.startswith(("enc_", "dec_"))]
+    assert len(files) == 16
+    assert {np.load(p).dtype.str for p in files} == {"<f4"}
+    for path in files:
+        np.save(path, np.load(path).astype(np.float64))
+    edited = []
+    for i, w in enumerate((workspace, ws)):
+        out = tmp_path / f"edited{i}.npy"
+        assert run("edit", "--workspace", w, "--latents", src,
+                   "--attribute", 1, "--target", "1.2", "--out", out) == 0
+        edited.append(out.read_bytes())
+    assert edited[0] == edited[1]
+
+
 def test_fit_names_the_file_and_row_of_a_non_finite_latent(workspace, tmp_path,
                                                            capsys):
     ws = shutil.copytree(workspace, tmp_path / "ws")

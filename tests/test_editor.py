@@ -24,6 +24,34 @@ def setup():
     return world, pipe, latents
 
 
+def test_edits_run_in_float64_from_the_trained_or_the_loaded_model(tmp_path):
+    world = oracle.make_world(12, 2, 3, seed=20)
+    latents, attrs = oracle.build_dataset(world, 600, seed=21)
+    pm = pca.fit_pca(latents, 6)
+    tr = gaussianize.fit_transform(attrs)
+    cfg = training.TrainConfig(epochs=2, batch_size=128, hidden_size=16,
+                               n_layers=3)
+    model, _ = training.train(pca.project(pm, latents).top,
+                              gaussianize.gaussianize_columns(tr, attrs), cfg)
+    training.save_model(model, cfg, tmp_path)
+    loaded, _ = training.load_model(tmp_path)
+    pipes = [editor.EditPipeline(pca=pm, transform=tr, model=m)
+             for m in (model, loaded)]
+    assert model.encoder.flat.dtype == np.float32  # widened, not changed
+    for pipe in pipes:
+        for net in (pipe.model.encoder, pipe.model.decoder):
+            assert net.flat.dtype == np.float64
+    # a float64 net is kept, not copied: a copy costs the slider memory
+    assert pipes[1].model.encoder is loaded.encoder
+    assert pipes[1].model.decoder is loaded.decoder
+    batch = latents[:8]
+    trained, reloaded = (editor.edit(p, batch, 1, 1.5) for p in pipes)
+    assert trained.tobytes() == reloaded.tobytes()
+    for w in batch:
+        trained, reloaded = (editor.edit(p, w, 1, 1.5) for p in pipes)
+        assert trained.tobytes() == reloaded.tobytes()
+
+
 def test_encode_shapes(setup):
     world, pipe, latents = setup
     code = editor.encode(pipe, latents[0])

@@ -124,6 +124,16 @@ def test_project_and_reconstruct_refuse_inputs_not_1d_or_2d(gaussian_model,
         pca.reconstruct(model, pca.PcaSplit(np.ones(top), np.ones(residual)))
 
 
+@pytest.mark.parametrize("top, residual", [
+    ((4,), (2, 8)), ((2, 4), (8,)), ((3, 4), (2, 8))])
+def test_reconstruct_refuses_top_and_residual_that_do_not_pair(
+        gaussian_model, top, residual):
+    model, _ = gaussian_model  # m = 12, split 4
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            f"top of shape {top} and residual of shape {residual} ")):
+        pca.reconstruct(model, pca.PcaSplit(np.ones(top), np.ones(residual)))
+
+
 def test_one_vector_keeps_the_bits_of_the_matmul(gaussian_model):
     model, data = gaussian_model
     for w in data[:5]:

@@ -324,7 +324,7 @@ class TestTrain:
                 assert stats["corr"] == 0.0
                 assert stats["total"] == stats["recons"] + cfg.alpha * stats["attr"]
 
-    def test_steps_in_float32_and_returns_float64(self, monkeypatch):
+    def test_steps_and_returns_in_float32(self, monkeypatch):
         seen = {"mlp_forward": [], "mlp_backward": []}
         for name, dtypes in seen.items():
             def spy(params, *args, _real=getattr(training, name), _seen=dtypes):
@@ -345,8 +345,8 @@ class TestTrain:
         assert seen == {name: [np.float32] * 2 * steps for name in seen}
         assert updated == [(np.float32,) * 3] * 2 * steps
         for net in (model.encoder, model.decoder):
-            assert net.flat.dtype == np.float64
-            assert all(a.dtype == np.float64 for a in net.weights + net.biases)
+            assert net.flat.dtype == np.float32
+            assert all(a.dtype == np.float32 for a in net.weights + net.biases)
         assert all(type(v) is float for h in history for v in h.values())
 
     def test_bit_identical_at_one_and_two_blas_threads(self):
@@ -503,13 +503,32 @@ class TestTrain:
         assert loaded_cfg == cfg
         for w1, w2 in zip(model.decoder.weights, loaded.decoder.weights):
             np.testing.assert_array_equal(w1, w2)
-        # every net starts each float64 view on a cache line (hidden size
-        # 16); six nets, as one small buffer can be 64-byte aligned by chance
+        # every net starts each view on a cache line (hidden size 16); six
+        # nets, as one small buffer can be 64-byte aligned by chance
         again, _ = training.load_model(tmp_path)
         for m in (model, loaded, again):
             for net in (m.encoder, m.decoder):
                 for a in [net.flat] + net.weights + net.biases:
                     assert a.ctypes.data % 64 == 0
+
+    def test_each_net_is_stored_in_its_own_width_and_loads_bit_exact(
+            self, tmp_path):
+        # train's float32 nets as <f4, float64 nets (init_params') as <f8;
+        # load_model widens either to the same float64 values
+        cfg = TrainConfig(epochs=1, batch_size=64, hidden_size=16, n_layers=3)
+        trained, _ = train(*self.make_data(d=10), cfg)
+        for model, descr in ((trained, "<f4"), (small_model(), "<f8")):
+            directory = tmp_path / descr
+            training.save_model(model, cfg, directory)
+            files = sorted(directory.glob("*.npy"))
+            assert len(files) == 12  # 3 layers, weight and bias, 2 nets
+            assert {np.load(f).dtype.str for f in files} == {descr}
+            loaded, _ = training.load_model(directory)
+            for net, back in ((model.encoder, loaded.encoder),
+                              (model.decoder, loaded.decoder)):
+                assert back.flat.dtype == np.float64
+                assert (back.flat.tobytes()
+                        == net.flat.astype(np.float64).tobytes())
 
     @pytest.mark.parametrize("slope", [1.5, 1.0, -0.01, float("nan"), True,
                                        "0.01", None])

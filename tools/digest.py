@@ -15,9 +15,12 @@ on the first 300 rows of ``latents.npy``, and prints one ``<sha256>  <file>``
 line per file, sorted by name, then one ``<sha256>  report.json:<method>``
 line per method block of the report (its JSON, as ``json.dumps`` writes it
 with sorted keys), so that a change confined to one method shows the other
-bit-identical. Two checkouts gave bit-identical outputs when their lines
-match; ``report.json`` records the workspace path, so run both on the same
-path and the same machine.
+bit-identical, then one ``<sha256>  model:<net>`` line per net of the model
+``load_model`` reads (its float64 ``flat`` buffer), so that a change of the
+model files' storage format shows whether the weights kept their bits. Two
+checkouts gave bit-identical outputs when their lines match;
+``report.json`` records the workspace path, so run both on the same path and
+the same machine.
 """
 
 import hashlib
@@ -30,6 +33,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from latentaxes.training import load_model  # noqa: E402
 from workloads import DESK, EVAL_SEED, build_workspace, cli_run  # noqa: E402
 
 EDIT_ROWS = 300
@@ -57,6 +61,10 @@ def main(argv) -> int:
     for name, block in methods.items():
         text = json.dumps(block, sort_keys=True).encode()
         print(f"{hashlib.sha256(text).hexdigest()}  report.json:{name}")
+    model, _ = load_model(ws)
+    for name in ("encoder", "decoder"):
+        flat = getattr(model, name).flat.tobytes()
+        print(f"{hashlib.sha256(flat).hexdigest()}  model:{name}")
     return 0
 
 
