@@ -40,17 +40,16 @@ class EditableCode(NamedTuple):  # built per edit: lighter than a dataclass
 
 @dataclass(frozen=True)
 class EditPipeline:
-    """What an edit needs. Edits compute in float64: a float32 net, as
-    ``train`` returns it, is widened, and a float64 one is kept as it is."""
+    """What an edit needs. Edits compute in float64: each net is widened
+    to a float64 copy, so the pipeline shares no memory with its model."""
     pca: PcaModel
     transform: AttributeTransform
     model: EncoderDecoder
 
     def __post_init__(self):
-        object.__setattr__(self, "model", EncoderDecoder(*(
-            net if net.flat.dtype == np.float64 else net.astype(np.float64)
-            for net in (self.model.encoder, self.model.decoder)),
-            self.model.n_attributes))
+        object.__setattr__(self, "model", EncoderDecoder(
+            self.model.encoder.astype(np.float64),
+            self.model.decoder.astype(np.float64), self.model.n_attributes))
         if self.pca.split != self.model.encoder.layer_sizes[0]:
             raise DimensionMismatch("PCA split does not match encoder input")
         if self.transform.n_attributes != self.model.n_attributes:

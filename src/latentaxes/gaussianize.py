@@ -171,10 +171,14 @@ def save_transform(t: AttributeTransform, directory) -> None:
 
 def load_transform(directory, k=None) -> AttributeTransform:
     """The transform ``save_transform`` wrote; a table count other than
-    ``k``, the model's K where given, is a DimensionMismatch and fewer than
-    MIN_SAMPLES samples a TooFewSamples, each naming the file."""
+    ``k``, the model's K where given, is a DimensionMismatch, fewer than
+    MIN_SAMPLES samples a TooFewSamples and a row that is not sorted
+    ascending an OutOfDomain, each naming the file."""
     path = Path(directory) / "attr_tables.npy"
     t = AttributeTransform(read_matrix(path, (k, None), "model_meta.json"))
     if t.n < MIN_SAMPLES:
         raise TooFewSamples(f"{path}: sample count {t.n} is below {MIN_SAMPLES}")
+    unsorted = (np.diff(t.tables, axis=1) < 0).any(axis=1)
+    if unsorted.any():
+        raise OutOfDomain(f"{path}: row {np.argmax(unsorted)} is not sorted")
     return t

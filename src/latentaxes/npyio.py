@@ -4,8 +4,8 @@ and for a NaN or infinity, and the checked reader of the JSON metadata files
 that sit beside them in a workspace.
 
 Only rank-2, C-order v1.0 files of little-endian float32 or float64 are
-supported, read as float64 and written in the matrix's own width. Anything
-else is a BadNpyFile naming the file, so malformed dumps fail loudly.
+supported, each read in its stored width and written in the matrix's own.
+Anything else is a BadNpyFile naming the file: malformed dumps fail loudly.
 """
 
 import json
@@ -27,8 +27,8 @@ _MALFORMED_HEADER = (ValueError, TypeError, IndexError, SyntaxError,
 
 
 def read_matrix(path, want=(None, None), source="") -> np.ndarray:
-    """Read a 2-D float .npy file, promoting values to float64; a <f8
-    payload is read straight into the result. A header shape other than
+    """Read a 2-D float .npy file in its stored width, <f4 as float32 and
+    <f8 as float64, straight into the result. A header shape other than
     ``want``, where None matches any length, is a DimensionMismatch naming
     the file and ``source``, what gives that shape; a NaN or infinity is a
     NonFinite naming the file and the row."""
@@ -61,13 +61,12 @@ def read_matrix(path, want=(None, None), source="") -> np.ndarray:
         if available < expected:
             raise BadNpyFile(
                 f"{path}: payload has {available} bytes, expected {expected}")
-        # read into the array itself: a <f8 payload is already the float64
-        # result, so no second copy of it is made
+        # read into the array itself, so no second copy of the payload is made
         data = np.empty(shape, dtype=dtype)
         if fh.readinto(data) != expected:
             raise BadNpyFile(f"{path}: payload shorter than {expected} bytes")
     check_finite_rows(f"{path}: data", data)
-    return data.astype(np.float64, copy=False)
+    return data
 
 
 def write_matrix(matrix: np.ndarray, path) -> None:

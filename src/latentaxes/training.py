@@ -11,7 +11,7 @@ objective; the optimizer is Adam.
 Precision: ``train`` computes and updates in float32 (the nets, their
 gradients and Adam's moments; the loss components and the correlation
 kernel are float64) and returns that float32 model, which is saved as
-``<f4`` and loaded as float64. Outside ``train``, every function here
+``<f4`` and loaded as float32. Outside ``train``, every function here
 computes in the dtype of the nets it is given.
 """
 
@@ -283,7 +283,8 @@ def save_model(model: EncoderDecoder, cfg: TrainConfig, directory) -> None:
 
 
 def load_model(directory):
-    """The model and config that ``save_model`` wrote. A manifest with a
+    """The model and config that ``save_model`` wrote, each net in the
+    width of its files (float32 for a trained model). A manifest with a
     missing, unknown or ill-typed key (an older manifest's, for one), a K
     outside [0, code_size) or a train_config that ``check_config`` refuses
     is a ConfigInvalid; a weight or bias file of another shape than

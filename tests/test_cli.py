@@ -448,13 +448,13 @@ def test_every_workspace_matrix_with_a_nan_or_infinity_is_refused(
     assert not wrong
 
 
-@pytest.mark.parametrize("columns", [0, 1])
-@pytest.mark.parametrize("command", ["train", "edit", "evaluate"])
-def test_attribute_tables_of_fewer_than_two_samples_are_refused(
-        workspace, tmp_path, capsys, columns, command):
+def run_on_changed_tables(workspace, tmp_path, command, change):
+    """Run ``command`` on a copy of ``workspace`` whose attr_tables.npy holds
+    ``change`` of its matrix. Returns the exit code, the tables' path, and
+    whether the file the command writes stayed unwritten."""
     ws = shutil.copytree(workspace, tmp_path / "ws")
     tables = ws / "attr_tables.npy"
-    npyio.write_matrix(npyio.read_matrix(tables)[:, :columns], tables)
+    npyio.write_matrix(change(npyio.read_matrix(tables)), tables)
     src = tmp_path / "batch.npy"
     npyio.write_matrix(npyio.read_matrix(ws / "latents.npy")[:3], src)
     flags, unwritten = {
@@ -465,10 +465,35 @@ def test_attribute_tables_of_fewer_than_two_samples_are_refused(
                  tmp_path / "edited.npy"),
         "evaluate": (("--n", 16), ws / "report.json")}[command]
     unwritten.unlink(missing_ok=True)
-    assert run(command, "--workspace", ws, *flags) == cli.DATA_ERROR
+    code = run(command, "--workspace", ws, *flags)
+    return code, tables, not unwritten.exists()
+
+
+@pytest.mark.parametrize("columns", [0, 1])
+@pytest.mark.parametrize("command", ["train", "edit", "evaluate"])
+def test_attribute_tables_of_fewer_than_two_samples_are_refused(
+        workspace, tmp_path, capsys, columns, command):
+    code, tables, unwritten = run_on_changed_tables(
+        workspace, tmp_path, command, lambda t: t[:, :columns])
+    assert code == cli.DATA_ERROR and unwritten
     assert (f"data error: {tables}: sample count {columns} is below 2"
             in capsys.readouterr().err)
-    assert not unwritten.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "edit", "evaluate"])
+def test_attribute_tables_not_sorted_ascending_are_refused(
+        workspace, tmp_path, capsys, command):
+    # a reversed quantile table gaussianizes every value to the wrong side,
+    # and the edits, training and scores that follow exit 0 on nonsense
+    def reverse_row_1(t):
+        t[1] = t[1, ::-1].copy()
+        return t
+
+    code, tables, unwritten = run_on_changed_tables(
+        workspace, tmp_path, command, reverse_row_1)
+    assert code == cli.DATA_ERROR and unwritten
+    assert (f"data error: {tables}: row 1 is not sorted"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("corrupt, named", [

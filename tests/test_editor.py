@@ -38,12 +38,13 @@ def test_edits_run_in_float64_from_the_trained_or_the_loaded_model(tmp_path):
     pipes = [editor.EditPipeline(pca=pm, transform=tr, model=m)
              for m in (model, loaded)]
     assert model.encoder.flat.dtype == np.float32  # widened, not changed
-    for pipe in pipes:
-        for net in (pipe.model.encoder, pipe.model.decoder):
+    assert loaded.encoder.flat.dtype == np.float32
+    for pipe, source in zip(pipes, (model, loaded)):
+        for net, given in ((pipe.model.encoder, source.encoder),
+                           (pipe.model.decoder, source.decoder)):
             assert net.flat.dtype == np.float64
-    # a float64 net is kept, not copied: a copy costs the slider memory
-    assert pipes[1].model.encoder is loaded.encoder
-    assert pipes[1].model.decoder is loaded.decoder
+            # a copy: an edit cannot see a later change to the model
+            assert not np.shares_memory(net.flat, given.flat)
     batch = latents[:8]
     trained, reloaded = (editor.edit(p, batch, 1, 1.5) for p in pipes)
     assert trained.tobytes() == reloaded.tobytes()

@@ -514,7 +514,7 @@ class TestTrain:
     def test_each_net_is_stored_in_its_own_width_and_loads_bit_exact(
             self, tmp_path):
         # train's float32 nets as <f4, float64 nets (init_params') as <f8;
-        # load_model widens either to the same float64 values
+        # load_model gives back either in its own width, bit for bit
         cfg = TrainConfig(epochs=1, batch_size=64, hidden_size=16, n_layers=3)
         trained, _ = train(*self.make_data(d=10), cfg)
         for model, descr in ((trained, "<f4"), (small_model(), "<f8")):
@@ -526,9 +526,8 @@ class TestTrain:
             loaded, _ = training.load_model(directory)
             for net, back in ((model.encoder, loaded.encoder),
                               (model.decoder, loaded.decoder)):
-                assert back.flat.dtype == np.float64
-                assert (back.flat.tobytes()
-                        == net.flat.astype(np.float64).tobytes())
+                assert back.flat.dtype == net.flat.dtype
+                assert back.flat.tobytes() == net.flat.tobytes()
 
     @pytest.mark.parametrize("slope", [1.5, 1.0, -0.01, float("nan"), True,
                                        "0.01", None])

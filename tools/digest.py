@@ -16,8 +16,9 @@ line per file, sorted by name, then one ``<sha256>  report.json:<method>``
 line per method block of the report (its JSON, as ``json.dumps`` writes it
 with sorted keys), so that a change confined to one method shows the other
 bit-identical, then one ``<sha256>  model:<net>`` line per net of the model
-``load_model`` reads (its float64 ``flat`` buffer), so that a change of the
-model files' storage format shows whether the weights kept their bits. Two
+``load_model`` reads (its ``flat`` buffer widened to float64, which keeps
+every value exactly), so that a change of the model files' storage format or
+of the width they are read in shows whether the weights kept their bits. Two
 checkouts gave bit-identical outputs when their lines match;
 ``report.json`` records the workspace path, so run both on the same path and
 the same machine.
@@ -63,7 +64,7 @@ def main(argv) -> int:
         print(f"{hashlib.sha256(text).hexdigest()}  report.json:{name}")
     model, _ = load_model(ws)
     for name in ("encoder", "decoder"):
-        flat = getattr(model, name).flat.tobytes()
+        flat = getattr(model, name).flat.astype(np.float64).tobytes()
         print(f"{hashlib.sha256(flat).hexdigest()}  model:{name}")
     return 0
 
