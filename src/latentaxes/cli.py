@@ -9,7 +9,6 @@ so a full run is:
     latentaxes edit --workspace ws --latents in.npy --attribute 2 --target 1.5
     latentaxes evaluate --workspace ws --n 1024
 
-Options may come from a JSON config file (--config); explicit flags win.
 `evaluate` fits the linear baseline before it scores either method, so an
 attribute the baseline cannot fit is refused before any search.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
@@ -27,70 +26,12 @@ import numpy as np
 from . import baseline, editor, evaluation, gaussianize, oracle, pca, training
 from .errors import (ConfigInvalid, DimensionMismatch, LatentAxesError, NonFinite,
                      NonPSD)
-from .npyio import (check_type, load_dataset, read_json_object, read_matrix,
-                    write_matrix)
+from .npyio import load_dataset, read_matrix, write_matrix
 
 CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 # the `train` options: TrainConfig fields, with its defaults and types
 TRAIN_OPTIONS = ("alpha", "beta", "epochs", "batch_size", "learning_rate",
                  "hidden_size", "n_layers")
-
-class CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser that keeps its options by destination name, so
-    that config file values can be converted and checked like argv's."""
-
-    def __init__(self, *args, **kwargs):
-        self.options = {}
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.default is not argparse.SUPPRESS:  # every option but --help
-            self.options[action.dest] = action
-        return action
-
-
-def _config_value(key: str, value, action: argparse.Action):
-    """A config file value converted and checked as argparse would the
-    option's command-line string. JSON numbers and booleans must already
-    have the option's type; an int is taken where a float is wanted."""
-    kind = bool if action.nargs == 0 else (action.type or str)
-    where = f"config key {key!r}"
-    if isinstance(value, str) and kind is not bool:
-        try:
-            value = kind(value)
-        except ValueError as exc:
-            raise ConfigInvalid(f"{where}: {exc}") from exc
-    value = check_type(value, kind, where)
-    if action.choices is not None and value not in action.choices:
-        raise ConfigInvalid(f"{where}: {value!r} is not one of "
-                            f"{', '.join(action.choices)}")
-    return value
-
-
-def _read_config(path, command: CommandParser) -> dict:
-    """Option values from the JSON config file, keyed by option name.
-
-    They become argparse defaults, which argparse neither converts (unless
-    they are strings) nor checks, so both happen here. Required options
-    and --config take no value from the file, nor does one option twice."""
-    try:
-        overrides = read_json_object(path)
-    except OSError as exc:
-        raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-    values = {}
-    for key, value in overrides.items():
-        action = command.options.get(key.replace("-", "_"))
-        if action is None:
-            raise ConfigInvalid(f"unknown config key {key!r}")
-        if action.required or action.dest == "config":
-            raise ConfigInvalid(f"config key {key!r}: give "
-                                f"{action.option_strings[0]} on the command line")
-        if action.dest in values:
-            first = next(k for k in overrides if k.replace("-", "_") == action.dest)
-            raise ConfigInvalid(f"config keys {first!r} and {key!r} name one option")
-        values[action.dest] = _config_value(key, value, action)
-    return values
 
 
 def cmd_gen_data(args) -> int:
@@ -225,7 +166,7 @@ def cmd_evaluate(args) -> int:
 
     report = evaluation.make_report(
         config={k: v for k, v in vars(args).items()
-                if isinstance(v, (str, int, float, bool, type(None)))},
+                if isinstance(v, (str, int, float, bool))},
         seeds={"evaluate": args.seed, "world": world.seed},
         amplitude_grid=editor.AMPLITUDE_QUANTILES,
         linear_amplitudes=baseline.DEFAULT_AMPLITUDES,
@@ -252,12 +193,10 @@ def cmd_evaluate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="latentaxes",
                                      description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed=True):
         p.add_argument("--workspace", required=True, help="workspace directory")
-        p.add_argument("--config", help="JSON file with option defaults")
         if seed:  # fit and edit draw nothing at random
             p.add_argument("--seed", type=int, default=0)
 
@@ -305,19 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true",
                    help="also write variation matrices as CSV")
     p.set_defaults(func=cmd_evaluate)
-    parser.commands = sub.choices  # command name -> its parser
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            # the file's values become the command's defaults: explicit flags win
-            command = parser.commands[args.command]
-            command.set_defaults(**_read_config(args.config, command))
-            args = parser.parse_args(argv)
         return args.func(args)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -173,14 +173,27 @@ def test_evaluate_non_psd_frechet_is_a_numeric_failure(workspace, tmp_path,
     assert not (ws / "report.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ("fit",), ("edit", "--latents", "in.npy", "--attribute", 0, "--target", 1)],
-    ids=["fit", "edit"])
+EDIT_ARGV = ("edit", "--latents", "in.npy", "--attribute", 0, "--target", 1)
+
+
+@pytest.mark.parametrize("argv", [("fit",), EDIT_ARGV], ids=["fit", "edit"])
 def test_seed_is_not_an_option_of_fit_or_edit(tmp_path, argv, capsys):
     with pytest.raises(SystemExit) as info:
         run(*argv, "--workspace", tmp_path, "--seed", 1)
     assert info.value.code == cli.CONFIG_ERROR
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-data",), ("fit",), ("train",), EDIT_ARGV, ("evaluate",)],
+    ids=["gen-data", "fit", "train", "edit", "evaluate"])
+def test_config_is_not_an_option(tmp_path, argv, capsys):
+    ws = tmp_path / "ws"
+    with pytest.raises(SystemExit) as info:
+        run(*argv, "--workspace", ws, "--config", "c.json")
+    assert info.value.code == cli.CONFIG_ERROR
+    assert "unrecognized arguments: --config c.json" in capsys.readouterr().err
+    assert not ws.exists()
 
 
 def test_edit_raw_target(workspace, tmp_path):
@@ -608,7 +621,7 @@ def test_evaluate_report_equals_the_serially_built_report(workspace, tmp_path):
         args.n, args.threshold, args.seed)
     report = evaluation.make_report(
         config={k: v for k, v in vars(args).items()
-                if isinstance(v, (str, int, float, bool, type(None)))},
+                if isinstance(v, (str, int, float, bool))},
         seeds={"evaluate": args.seed, "world": world.seed},
         amplitude_grid=editor.AMPLITUDE_QUANTILES,
         linear_amplitudes=baseline.DEFAULT_AMPLITUDES,
@@ -668,119 +681,6 @@ def test_evaluate_default_n_is_1024():
     args = parser.parse_args(["evaluate", "--workspace", "x"])
     assert args.n == 1024
     assert args.threshold == 0.9
-
-
-def test_config_file_overrides(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 77, "m": 16, "k": 3, "q": 4}))
-    ws = tmp_path / "ws"
-    assert run("gen-data", "--workspace", ws, "--config", cfg) == 0
-    assert npyio.read_matrix(ws / "latents.npy").shape == (77, 16)
-    # explicit flag beats the config file
-    ws2 = tmp_path / "ws2"
-    assert run("gen-data", "--workspace", ws2, "--config", cfg, "--n", 33) == 0
-    assert npyio.read_matrix(ws2 / "latents.npy").shape == (33, 16)
-    # ... even when the flag's value equals its default (--k defaults to 5)
-    ws3 = tmp_path / "ws3"
-    assert run("gen-data", "--workspace", ws3, "--config", cfg, "--k", 5) == 0
-    assert npyio.read_matrix(ws3 / "attrs.npy").shape == (77, 5)
-
-
-def test_config_file_unknown_key(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    assert run("gen-data", "--workspace", tmp_path / "ws",
-               "--config", cfg) == cli.CONFIG_ERROR
-
-
-
-def test_config_file_not_an_object(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps([1]))
-    assert run("gen-data", "--workspace", tmp_path / "ws",
-               "--config", cfg) == cli.CONFIG_ERROR
-    assert "config error:" in capsys.readouterr().err
-
-
-def test_config_file_value_outside_choices(workspace, tmp_path, capsys):
-    # argparse refuses --variant D; the same value from a file is refused too
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"variant": "D"}))
-    assert run("train", "--workspace", workspace, "--config", cfg) == cli.CONFIG_ERROR
-    assert "config error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("config", [{"n": 2.5}, {"n": True}, {"n": "2.5"},
-                                    {"correlated": "yes"}, {"mapping": 1}])
-def test_config_file_value_of_wrong_type(tmp_path, capsys, config):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert run("gen-data", "--workspace", tmp_path / "ws",
-               "--config", cfg) == cli.CONFIG_ERROR
-    assert "config error:" in capsys.readouterr().err
-
-
-EDIT_ARGV = ("edit", "--latents", "in.npy", "--attribute", 0, "--target", 1)
-
-
-@pytest.mark.parametrize("argv, key, message", [
-    # attributes of the parsed arguments, but not options
-    (("gen-data",), "func", "unknown config key 'func'"),
-    (("gen-data",), "command", "unknown config key 'command'"),
-    # options that a config default never reaches: required ones, and
-    # --config itself
-    (("gen-data",), "workspace", "config key 'workspace': give --workspace on "
-     "the command line"),
-    (("gen-data",), "config", "config key 'config': give --config on the "
-     "command line"),
-    (EDIT_ARGV, "latents", "config key 'latents': give --latents on the "
-     "command line"),
-    (EDIT_ARGV, "attribute", "config key 'attribute': give --attribute on "
-     "the command line"),
-    (EDIT_ARGV, "target", "config key 'target': give --target on the command "
-     "line")],
-    ids=["func", "command", "workspace", "config", "latents", "attribute",
-         "target"])
-def test_config_file_key_that_is_not_an_option(tmp_path, capsys, argv, key,
-                                               message):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: 1}))
-    ws = tmp_path / "ws"
-    assert run(*argv, "--workspace", ws, "--config", cfg) == cli.CONFIG_ERROR
-    assert f"config error: {message}" in capsys.readouterr().err
-    assert not ws.exists()
-
-
-@pytest.mark.parametrize("text, message", [
-    ('{"batch-size": 64, "batch_size": 128}',
-     "config keys 'batch-size' and 'batch_size' name one option"),
-    ('{"epochs": 1, "epochs": 2}', "cfg.json: key 'epochs' appears twice")],
-    ids=["two-spellings", "repeated-key"])
-def test_config_file_that_names_one_option_twice(tmp_path, capsys, text,
-                                                 message):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
-    assert run("train", "--workspace", tmp_path / "ws",
-               "--config", cfg) == cli.CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err
-
-
-def test_config_file_values_converted_by_option_type(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": "40", "m": 8, "k": 2, "q": 2,
-                               "correlated": True}))
-    ws = tmp_path / "ws"
-    assert run("gen-data", "--workspace", ws, "--config", cfg) == 0
-    assert npyio.read_matrix(ws / "latents.npy").shape == (40, 8)
-    cfg.write_text(json.dumps({"d": 4}))
-    assert run("fit", "--workspace", ws, "--config", cfg) == 0
-    cfg.write_text(json.dumps({"alpha": 1, "learning-rate": "1e-3", "epochs": 1,
-                               "batch-size": 32, "hidden-size": 8, "n-layers": 2}))
-    assert run("train", "--workspace", ws, "--config", cfg) == 0
-    meta = json.loads((ws / "model_meta.json").read_text())["train_config"]
-    assert meta["alpha"] == 1.0 and isinstance(meta["alpha"], float)
-    assert meta["learning_rate"] == 1e-3 and meta["hidden_size"] == 8
 
 
 def test_missing_data_is_data_error(tmp_path):

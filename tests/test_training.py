@@ -585,9 +585,19 @@ class TestTrain:
 
     def test_load_model_refuses_malformed_manifest(self, tmp_path):
         meta_path, _ = self.saved_manifest(tmp_path)
-        meta_path.write_text("{")
-        with pytest.raises(ConfigInvalid, match="model_meta.json: not valid JSON"):
-            training.load_model(tmp_path)
+        for text, message in (("{", "not valid JSON"),
+                              ("[1]", "must hold a JSON object")):
+            meta_path.write_text(text)
+            with pytest.raises(ConfigInvalid, match=f"model_meta.json: {message}"):
+                training.load_model(tmp_path)
+
+    def test_load_model_takes_an_int_where_a_float_is_wanted(self, tmp_path):
+        meta_path, meta = self.saved_manifest(tmp_path)
+        meta["train_config"].update(alpha=1, learning_rate=1)
+        meta_path.write_text(json.dumps(meta))
+        _, cfg = training.load_model(tmp_path)
+        for value in (cfg.alpha, cfg.learning_rate):
+            assert type(value) is float and value == 1.0
 
     def test_load_model_refuses_a_key_repeated_in_the_manifest(self, tmp_path):
         # json.loads alone keeps the last value of a repeated key
