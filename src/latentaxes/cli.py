@@ -62,7 +62,7 @@ def cmd_fit(args) -> int:
     pca.save_pca(model, ws)
     transform = gaussianize.fit_transform(attrs)
     gaussianize.save_transform(transform, ws)
-    frac = pca.explained_variance_fraction(model, args.d)
+    frac = pca.explained_variance_fraction(model)
     print(f"PCA fit on {latents.shape[0]} samples; "
           f"d={args.d} explains {frac:.1%} of variance")
     return 0

@@ -1,7 +1,7 @@
 """`.npy` v1.0 reader/writer for dense 2-D float matrices, through
 `numpy.lib.format`, each read checked against the shape its caller expects
-and for a NaN or infinity, and the checked reader of the JSON metadata files
-that sit beside them in a workspace.
+and for a NaN or infinity; and the one reader and writer of the JSON
+metadata files that sit beside them in a workspace.
 
 Only rank-2, C-order v1.0 files of little-endian float32 or float64 are
 supported, each read in its stored width and written in the matrix's own.
@@ -101,36 +101,11 @@ def check_finite_rows(name: str, arr: np.ndarray) -> None:
         raise NonFinite(f"{name} row {np.argmax(bad)} is not finite")
 
 
-def check_type(value, kind: type, where: str):
-    """``value`` if it has the type ``kind``, an int taken as a float where a
-    float is wanted (a bool is never a number); otherwise ConfigInvalid
-    naming ``where``."""
-    if kind is float and type(value) is int:
-        return float(value)
-    if type(value) is not kind:
-        raise ConfigInvalid(f"{where}: {value!r} is not of type {kind.__name__}")
-    return value
-
-
-def check_keys(obj: dict, schema: dict, where) -> dict:
-    """A copy of ``obj``, whose keys must be exactly those of ``schema``
-    (key -> type), with each value passed through ``check_type``; an unknown
-    or missing key is a ConfigInvalid naming ``where``."""
-    unknown = sorted(set(obj) - set(schema))
-    if unknown:
-        raise ConfigInvalid(f"{where}: unknown keys {unknown}")
-    checked = {}
-    for key, kind in schema.items():
-        if key not in obj:
-            raise ConfigInvalid(f"{where}: missing key {key!r}")
-        checked[key] = check_type(obj[key], kind, f"{where}: {key}")
-    return checked
-
-
-def read_json_object(path) -> dict:
-    """The JSON object in the file ``path``. A file that is not a JSON
-    object, or that repeats a key in any object, is a ConfigInvalid naming
-    it; one that cannot be read raises OSError."""
+def read_meta(path, schema: dict) -> dict:
+    """The JSON object in the workspace metadata file ``path``, checked
+    against ``schema`` by ``_check_keys``. A file that is not a JSON object,
+    or that repeats a key in any object, is a ConfigInvalid naming it; one
+    that cannot be read raises OSError."""
     def unique_keys(pairs):
         obj = {}
         for key, value in pairs:
@@ -143,12 +118,36 @@ def read_json_object(path) -> dict:
         obj = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigInvalid(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigInvalid(f"{path}: must hold a JSON object")
-    return obj
+    return _check_keys(obj, schema, path)
 
 
-def read_meta(path, schema: dict) -> dict:
-    """A workspace metadata file's JSON object, checked against ``schema``
-    by ``check_keys``."""
-    return check_keys(read_json_object(path), schema, path)
+def _check_keys(obj, schema: dict, where) -> dict:
+    """A copy of the JSON object ``obj``, whose keys must be exactly those of
+    ``schema``. A schema value is a type, which the key's value must have (an
+    int is taken as a float where a float is wanted, and a bool is never a
+    number), or a nested schema for a value that is itself an object. An
+    ``obj`` that is not an object, or a key that is unknown, missing or of
+    another type, is a ConfigInvalid naming ``where``."""
+    if type(obj) is not dict:
+        raise ConfigInvalid(f"{where}: must hold a JSON object")
+    unknown = sorted(set(obj) - set(schema))
+    if unknown:
+        raise ConfigInvalid(f"{where}: unknown keys {unknown}")
+    checked = {}
+    for key, kind in schema.items():
+        if key not in obj:
+            raise ConfigInvalid(f"{where}: missing key {key!r}")
+        value, at = obj[key], f"{where}: {key}"
+        if type(kind) is dict:
+            value = _check_keys(value, kind, at)
+        elif kind is float and type(value) is int:
+            value = float(value)
+        elif type(value) is not kind:
+            raise ConfigInvalid(f"{at}: {value!r} is not of type {kind.__name__}")
+        checked[key] = value
+    return checked
+
+
+def write_meta(path, obj: dict) -> None:
+    """Write ``obj`` as the indented JSON that ``read_meta`` reads back."""
+    Path(path).write_text(json.dumps(obj, indent=2))

@@ -7,14 +7,13 @@ the role of identity features. Because the planted structure is known
 exactly, the whole editing pipeline can be verified closed-loop.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch
-from .npyio import read_matrix, read_meta, write_matrix
+from .npyio import read_matrix, read_meta, write_matrix, write_meta
 
 GAIN = 2.0  # classifier logit scale: sigmoid(GAIN * mix * A * w)
 MAPPING_KINDS = ("linear", "tanh-mixed")
@@ -113,8 +112,8 @@ def save_world(world: SyntheticWorld, directory) -> None:
     write_matrix(world.mix, directory / "world_mix.npy")
     write_matrix(world.identity_basis, directory / "world_identity_basis.npy")
     write_matrix(world.mixing_matrix, directory / "world_mixing.npy")
-    meta = {"mapping_kind": world.mapping_kind, "seed": world.seed}
-    (directory / "world_meta.json").write_text(json.dumps(meta, indent=2))
+    write_meta(directory / "world_meta.json",
+               {"mapping_kind": world.mapping_kind, "seed": world.seed})
 
 
 def load_world(directory) -> SyntheticWorld:

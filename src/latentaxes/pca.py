@@ -12,7 +12,6 @@ product, of which an edit makes ten (these two and the eight layers of
 non-BLAS path, is refused.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -20,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, TooFewSamples
-from .npyio import check_finite_rows, read_matrix, read_meta, write_matrix
+from .npyio import (check_finite_rows, read_matrix, read_meta, write_matrix,
+                    write_meta)
 
 # rows per block of the n-by-m temporaries. OpenBLAS can give a block of a
 # few dozen rows other product bits than the whole matrix (blocks of up to 33
@@ -124,13 +124,13 @@ def reconstruct(model: PcaModel, split: PcaSplit) -> np.ndarray:
     return model.mean + t.dot(model.basis.T)
 
 
-def explained_variance_fraction(model: PcaModel, d: int) -> float:
-    if not (1 <= d <= model.dim):
-        raise DimensionMismatch(f"d {d} out of range for dim {model.dim}")
+def explained_variance_fraction(model: PcaModel) -> float:
+    """The share of the variance in the ``split`` leading components; 1.0
+    where the data has none."""
     total = model.eigenvalues.sum()
     if total == 0.0:
         return 1.0
-    return float(model.eigenvalues[:d].sum() / total)
+    return float(model.eigenvalues[:model.split].sum() / total)
 
 
 def save_pca(model: PcaModel, directory) -> None:
@@ -139,8 +139,7 @@ def save_pca(model: PcaModel, directory) -> None:
     write_matrix(model.mean[None, :], directory / "pca_mean.npy")
     write_matrix(model.basis, directory / "pca_basis.npy")
     write_matrix(model.eigenvalues[None, :], directory / "pca_eigenvalues.npy")
-    meta = {"d": model.split}
-    (directory / "pca_meta.json").write_text(json.dumps(meta, indent=2))
+    write_meta(directory / "pca_meta.json", {"d": model.split})
 
 
 def load_pca(directory) -> PcaModel:

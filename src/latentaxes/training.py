@@ -15,7 +15,6 @@ kernel are float64) and returns that float32 model, which is saved as
 computes in the dtype of the nets it is given.
 """
 
-import json
 import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -31,8 +30,8 @@ from .mlp import (
     mlp_backward,
     mlp_forward,
 )
-from .npyio import (check_finite_rows, check_keys, read_matrix,
-                    read_meta, write_matrix)
+from .npyio import (check_finite_rows, read_matrix, read_meta, write_matrix,
+                    write_meta)
 
 VAR_EPS = 1e-8  # variance guard in the correlation denominator
 
@@ -279,7 +278,7 @@ def save_model(model: EncoderDecoder, cfg: TrainConfig, directory) -> None:
             path.unlink()
     manifest = {"code_size": code_size, "K": model.n_attributes,
                 "train_config": asdict(cfg)}
-    (directory / "model_meta.json").write_text(json.dumps(manifest, indent=2))
+    write_meta(directory / "model_meta.json", manifest)
 
 
 def load_model(directory):
@@ -292,12 +291,11 @@ def load_model(directory):
     directory = Path(directory)
     meta_path = directory / "model_meta.json"
     try:
-        manifest = read_meta(meta_path, {"code_size": int, "K": int,
-                                         "train_config": dict})
-        where = f"{meta_path}: train_config"
-        cfg = TrainConfig(**check_keys(manifest["train_config"], {
-            f.name: f.type for f in fields(TrainConfig)}, where))
-        check_config(cfg, f"{where} ")
+        manifest = read_meta(meta_path, {
+            "code_size": int, "K": int,
+            "train_config": {f.name: f.type for f in fields(TrainConfig)}})
+        cfg = TrainConfig(**manifest["train_config"])
+        check_config(cfg, f"{meta_path}: train_config ")
         code_size, k = manifest["code_size"], manifest["K"]
         if not 0 <= k < code_size:
             raise ConfigInvalid(f"{meta_path}: K {k} is not in [0, "

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latentaxes import baseline, editor, gaussianize, oracle, pca, training
-from latentaxes.errors import OracleFailure
+from latentaxes.errors import DimensionMismatch, OracleFailure
 
 
 @pytest.fixture(scope="module")
@@ -453,6 +453,14 @@ def test_first_hit_matches_a_per_row_bisection(data):
 def test_pipeline_validates_dimensions(setup):
     world, pipe, latents = setup
     bad_pca = pca.fit_pca(np.random.default_rng(0).normal(size=(50, 12)), 5)
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch,
+                       match="^PCA split does not match encoder input$"):
         editor.EditPipeline(pca=bad_pca, transform=pipe.transform,
+                            model=pipe.model)
+    # the model has K = 2 attribute slots
+    bad_transform = gaussianize.fit_transform(
+        np.random.default_rng(1).uniform(size=(50, 3)))
+    with pytest.raises(DimensionMismatch,
+                       match="^transform/model attribute counts differ$"):
+        editor.EditPipeline(pca=pipe.pca, transform=bad_transform,
                             model=pipe.model)

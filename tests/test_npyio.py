@@ -1,9 +1,11 @@
+import json
 import re
 import struct
 
 import numpy as np
+from numpy.lib import format as npy_format
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -94,6 +96,24 @@ def test_unsupported_dtype(tmp_path):
         npyio.read_matrix(path)
 
 
+@pytest.mark.parametrize("version", [(2, 0), (3, 0)])
+def test_unsupported_version(tmp_path, version):
+    path = tmp_path / "ver.npy"
+    with open(path, "wb") as fh:
+        npy_format.write_array(fh, np.ones((2, 3)), version=version)
+    message = f"{path}: unsupported .npy version {version[0]}.{version[1]}"
+    with pytest.raises(BadNpyFile, match=f"^{re.escape(message)}$"):
+        npyio.read_matrix(path)
+
+
+def test_fortran_order_refused(tmp_path):
+    path = tmp_path / "f.npy"
+    np.save(path, np.asfortranarray(np.arange(6.0).reshape(2, 3)))
+    message = f"{path}: fortran_order arrays not supported"
+    with pytest.raises(BadNpyFile, match=f"^{re.escape(message)}$"):
+        npyio.read_matrix(path)
+
+
 def test_unsupported_rank(tmp_path):
     path = tmp_path / "v.npy"
     np.save(path, np.arange(6.0))
@@ -167,6 +187,15 @@ def test_read_matrix_names_the_file_and_the_source(tmp_path):
         message = f"{path}: shape (3, 4), but b.json gives {shown}"
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
             npyio.read_matrix(path, want, "b.json")
+
+
+def test_meta_round_trip_keeps_the_indented_json(tmp_path):
+    path = tmp_path / "m.json"
+    obj = {"d": 4, "inner": {"rate": 1e-3, "kind": "linear"}}
+    npyio.write_meta(path, obj)
+    assert path.read_text() == json.dumps(obj, indent=2)
+    schema = {"d": int, "inner": {"rate": float, "kind": str}}
+    assert npyio.read_meta(path, schema) == obj
 
 
 def test_write_unwritable_path():
@@ -264,7 +293,10 @@ def read_or_typed_error(path, blob):
         m = npyio.read_matrix(path)
     except LatentAxesError:
         return
-    assert m.ndim == 2 and m.dtype == np.float64
+    # the width the header names, and the values numpy reads from the file
+    want = np.load(path)
+    assert m.ndim == 2 and m.dtype == want.dtype
+    assert m.tobytes() == want.tobytes()
 
 
 # tokens of a valid header, and tokens a mutation may put in their place
@@ -297,6 +329,7 @@ def test_random_bytes_give_a_matrix_or_a_typed_error(scratch_path, blob):
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(blob=mutated_files())
+@example(blob=npy_bytes(f8_header("(2, 3)", descr="'<f4'"), bytes(48)))
 def test_mutated_headers_give_a_matrix_or_a_typed_error(scratch_path, blob):
     read_or_typed_error(scratch_path, blob)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentaxes import oracle
-from latentaxes.errors import ConfigInvalid
+from latentaxes.errors import ConfigInvalid, DimensionMismatch
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +60,22 @@ def test_tanh_mixed_differs_from_linear():
     a = oracle.sample_w(w1, 5, 9)
     b = oracle.sample_w(w2, 5, 9)
     assert np.linalg.norm(a - b) > 0
+
+
+@pytest.mark.parametrize("n, seed, message", [
+    (-1, 9, "sample count -1 is negative"), (5, -2, "seed -2 is negative")])
+def test_sample_w_refuses_a_negative_count_or_seed(world, n, seed, message):
+    with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+        oracle.sample_w(world, n, seed)
+
+
+@pytest.mark.parametrize("shape", [(31,), (4, 33)])
+@pytest.mark.parametrize("fn", [oracle.classify, oracle.embed_identity])
+def test_classify_and_embed_identity_refuse_latents_of_another_width(
+        world, fn, shape):
+    with pytest.raises(DimensionMismatch,
+                       match=rf"^latent dim {shape[-1]} != 32$"):
+        fn(world, np.zeros(shape))
 
 
 def test_unknown_mapping_kind_rejected():

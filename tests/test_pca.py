@@ -37,7 +37,7 @@ def test_planted_covariance_recovered():
     assert abs(model.eigenvalues[0] - 4.0) <= 0.6
     assert abs(model.eigenvalues[1] - 1.0) <= 0.15
     assert abs(abs(model.basis[0, 0]) - 1.0) <= 0.1  # axis-aligned
-    frac = pca.explained_variance_fraction(model, 1)
+    frac = pca.explained_variance_fraction(model)
     assert abs(frac - 0.8) <= 0.05
 
 
@@ -90,8 +90,9 @@ def test_scaling_linearity(gaussian_model):
 
 
 def test_explained_variance_full(gaussian_model):
-    model, _ = gaussian_model
-    assert pca.explained_variance_fraction(model, model.dim) == pytest.approx(1.0)
+    _, data = gaussian_model
+    model = pca.fit_pca(data, split=data.shape[1])
+    assert pca.explained_variance_fraction(model) == pytest.approx(1.0)
 
 
 def test_zero_variance_fallback():
@@ -100,6 +101,19 @@ def test_zero_variance_fallback():
     np.testing.assert_array_equal(model.eigenvalues, 0.0)
     np.testing.assert_array_equal(model.basis, np.eye(3))
     np.testing.assert_array_equal(model.mean, [1.0, 2.0, 3.0])
+    # no variance at all: the split explains all of it
+    assert pca.explained_variance_fraction(model) == 1.0
+
+
+@pytest.mark.parametrize("shape, split, message", [
+    ((5, 3, 2), 1, "data must be 2-D (samples x features)"),
+    ((5, 3), 0, "split 0 out of range for dim 3"),
+    ((5, 3), 4, "split 4 out of range for dim 3")])
+def test_fit_refuses_data_not_2d_or_a_split_outside_1_to_m(shape, split,
+                                                           message):
+    data = np.random.default_rng(5).normal(size=shape)
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        pca.fit_pca(data, split)
 
 
 def test_single_sample_rejected():

@@ -585,8 +585,10 @@ class TestTrain:
 
     def test_load_model_refuses_malformed_manifest(self, tmp_path):
         meta_path, _ = self.saved_manifest(tmp_path)
-        for text, message in (("{", "not valid JSON"),
-                              ("[1]", "must hold a JSON object")):
+        for text, message in (
+                ("{", "not valid JSON"), ("[1]", "must hold a JSON object"),
+                ('{"code_size": 10, "K": 2, "train_config": []}',
+                 "train_config: must hold a JSON object")):
             meta_path.write_text(text)
             with pytest.raises(ConfigInvalid, match=f"model_meta.json: {message}"):
                 training.load_model(tmp_path)
