@@ -164,15 +164,16 @@ def cmd_evaluate(args) -> int:
             np.savetxt(ws / f"variation_{name}.csv", block["variation_matrix"],
                        delimiter=",")
 
-    report = evaluation.make_report(
-        config={k: v for k, v in vars(args).items()
-                if isinstance(v, (str, int, float, bool))},
-        seeds={"evaluate": args.seed, "world": world.seed},
-        amplitude_grid=editor.AMPLITUDE_QUANTILES,
-        linear_amplitudes=baseline.DEFAULT_AMPLITUDES,
-        threshold=args.threshold,
-        methods=methods,
-    )
+    report = evaluation.jsonable({
+        "schema_version": 1,
+        "config": {k: v for k, v in vars(args).items()
+                   if isinstance(v, (str, int, float, bool))},
+        "seeds": {"evaluate": args.seed, "world": world.seed},
+        "amplitude_grid": editor.AMPLITUDE_QUANTILES,
+        "linear_amplitudes": baseline.DEFAULT_AMPLITUDES,
+        "threshold": args.threshold,
+        "methods": methods,
+    })
     out = ws / "report.json"
     out.write_text(json.dumps(report, indent=2))
     print(f"wrote {out}")

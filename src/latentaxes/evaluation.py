@@ -8,12 +8,11 @@ the identity embedder are pluggable callables, so the synthetic oracle
 and any real network share the same code path.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroEmbeddings, NonPSD, TooFewSamples
+from .errors import AllZeroEmbeddings, DimensionMismatch, NonPSD, TooFewSamples
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,14 @@ def frechet_distance(set_a: np.ndarray, set_b: np.ndarray) -> float:
     ||mu_a - mu_b||^2 + tr(S_a + S_b - 2 (S_a S_b)^{1/2}).
 
     The matrix square root goes through the symmetric product
-    S_a^{1/2} S_b S_a^{1/2}; tiny negative eigenvalues are clamped.
+    S_a^{1/2} S_b S_a^{1/2}; tiny negative eigenvalues are clamped. Sets
+    that are not 2-D rows of one width are a DimensionMismatch.
     """
     a = np.asarray(set_a, dtype=np.float64)
     b = np.asarray(set_b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise DimensionMismatch(f"sets of shapes {a.shape} and {b.shape} are "
+                                "not rows of one width")
     dim = a.shape[1]
     if a.shape[0] <= dim or b.shape[0] <= dim:
         raise TooFewSamples("need more samples than dimensions")
@@ -150,34 +153,16 @@ def score_methods(searches: dict, classify_fn, embed_fn, sample_fn,
     return blocks
 
 
-def make_report(config, seeds, amplitude_grid, threshold, methods,
-                linear_amplitudes=None) -> dict:
-    """Assemble the machine-readable evaluation report.
-
-    ``methods`` maps method name -> its score_methods block; arrays become
-    lists and NaN becomes null. ``amplitude_grid`` names the autoencoder
-    search's quantiles, ``linear_amplitudes`` the linear search's steps.
-    """
-    def clean(value):
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        if isinstance(value, (list, tuple)):
-            return [clean(v) for v in value]
-        if isinstance(value, (np.floating, np.integer)):
-            value = value.item()
-        if isinstance(value, float) and np.isnan(value):
-            return None
-        return value
-
-    report = {
-        "schema_version": 1,
-        "config": config,
-        "seeds": seeds,
-        "amplitude_grid": clean(amplitude_grid),
-        "linear_amplitudes": clean(linear_amplitudes),
-        "threshold": threshold,
-        "methods": {name: {key: clean(value) for key, value in block.items()}
-                    for name, block in methods.items()},
-    }
-    json.dumps(report)  # guarantee serializability before returning
-    return report
+def jsonable(value):
+    """``value`` as JSON holds it: dicts converted key by key, ndarrays and
+    tuples as lists, and a float NaN (an unknown figure) as None; anything
+    else unchanged."""
+    if isinstance(value, dict):
+        return {key: jsonable(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, float) and np.isnan(value):
+        return None
+    return value

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfDomain, TooFewSamples
-from .npyio import read_matrix, write_matrix
+from .errors import DimensionMismatch, NonFinite, OutOfDomain, TooFewSamples
+from .npyio import check_finite_rows, read_matrix, write_matrix
 
 MIN_SAMPLES = 2  # fewest samples per attribute a transform is built on
 _SQRT2 = math.sqrt(2.0)
@@ -109,6 +109,7 @@ def fit_transform(attrs: np.ndarray) -> AttributeTransform:
     attrs = np.asarray(attrs, dtype=np.float64)
     if attrs.ndim != 2 or attrs.shape[0] < MIN_SAMPLES:
         raise TooFewSamples(f"need a 2-D matrix with at least {MIN_SAMPLES} rows")
+    check_finite_rows("attrs", attrs)
     return AttributeTransform(tables=np.sort(attrs.T, axis=1))
 
 
@@ -137,8 +138,10 @@ def _columns(t: AttributeTransform, values) -> np.ndarray:
 
 
 def gaussianize_columns(t: AttributeTransform, raw: np.ndarray) -> np.ndarray:
-    """Map raw attribute columns to gaussianized values; raw is (n, K) or (K,)."""
+    """Map raw attribute columns to gaussianized values; raw is (n, K) or (K,).
+    A NaN or infinity is a NonFinite naming the row."""
     mat = _columns(t, raw)
+    check_finite_rows("raw", mat)
     out = np.empty_like(mat)
     for k in range(t.n_attributes):
         out[:, k] = inv_norm_cdf(_midrank_probs(t.tables[k], mat[:, k]))
@@ -159,7 +162,10 @@ def degaussianize_columns(t: AttributeTransform, gauss: np.ndarray) -> np.ndarra
 
 
 def gaussianize_value(t: AttributeTransform, k: int, value: float) -> float:
-    """Single raw value of attribute k to its gaussianized counterpart."""
+    """Single raw value of attribute k to its gaussianized counterpart; a
+    NaN or infinity is a NonFinite naming the attribute."""
+    if not math.isfinite(value):
+        raise NonFinite(f"attribute {k}: value {value} is not finite")
     return float(inv_norm_cdf(_midrank_probs(t.tables[k], np.asarray([value]))[0]))
 
 

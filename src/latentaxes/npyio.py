@@ -58,7 +58,7 @@ def read_matrix(path, want=(None, None), source="") -> np.ndarray:
                                     f"gives ({wanted})")
         expected = shape[0] * shape[1] * dtype.itemsize
         available = os.fstat(fh.fileno()).st_size - fh.tell()
-        if available < expected:
+        if available != expected:
             raise BadNpyFile(
                 f"{path}: payload has {available} bytes, expected {expected}")
         # read into the array itself, so no second copy of the payload is made

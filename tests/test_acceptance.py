@@ -281,10 +281,10 @@ def test_criterion_8_determinism(tmp_path):
             lambda w: oracle.embed_identity(world, w),
             lambda n, s: oracle.sample_w(world, n, s), 3, n=256,
             threshold=0.9, seed=50)
-        report = evaluation.make_report(
-            config=dict(cfg.__dict__), seeds={"world": 5, "data": 6},
-            amplitude_grid=editor.AMPLITUDE_QUANTILES, threshold=0.9,
-            methods=methods)
+        report = evaluation.jsonable({
+            "config": dict(cfg.__dict__), "seeds": {"world": 5, "data": 6},
+            "amplitude_grid": editor.AMPLITUDE_QUANTILES, "threshold": 0.9,
+            "methods": methods})
         reports.append((model, history, repr(report)))
     m1, h1, r1 = reports[0]
     m2, h2, r2 = reports[1]

@@ -603,7 +603,7 @@ def test_a_non_finite_attribute_is_refused_naming_the_file_and_row(
 
 
 def test_evaluate_report_equals_the_serially_built_report(workspace, tmp_path):
-    # the report must be the one built from the same pieces called directly
+    # the report must hold the figures of the same pieces called directly
     ws = shutil.copytree(workspace, tmp_path / "ws")
     argv = ["evaluate", "--workspace", ws, "--n", 128, "--seed", 3]
     assert run(*argv) == 0
@@ -619,15 +619,19 @@ def test_evaluate_report_equals_the_serially_built_report(workspace, tmp_path):
         lambda w: oracle.embed_identity(world, w),
         lambda n, seed: oracle.sample_w(world, n, seed), world.n_attributes,
         args.n, args.threshold, args.seed)
-    report = evaluation.make_report(
-        config={k: v for k, v in vars(args).items()
-                if isinstance(v, (str, int, float, bool))},
-        seeds={"evaluate": args.seed, "world": world.seed},
-        amplitude_grid=editor.AMPLITUDE_QUANTILES,
-        linear_amplitudes=baseline.DEFAULT_AMPLITUDES,
-        threshold=args.threshold, methods=methods)
-    assert (ws / "report.json").read_text() == json.dumps(report, indent=2)
+    text = (ws / "report.json").read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2)
+    assert list(report) == ["schema_version", "config", "seeds", "amplitude_grid",
+                            "linear_amplitudes", "threshold", "methods"]
+    assert report["schema_version"] == 1
+    assert report["config"] == {k: v for k, v in vars(args).items()
+                                if isinstance(v, (str, int, float, bool))}
+    assert report["seeds"] == {"evaluate": args.seed, "world": world.seed}
+    assert report["amplitude_grid"] == list(editor.AMPLITUDE_QUANTILES)
     assert report["linear_amplitudes"] == list(baseline.DEFAULT_AMPLITUDES)
+    assert report["threshold"] == args.threshold
+    assert report["methods"] == evaluation.jsonable(methods)
 
 
 def test_evaluate_refuses_a_baseline_it_cannot_fit_before_any_search(

@@ -1,17 +1,19 @@
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from latentaxes import evaluation
-from latentaxes.errors import AllZeroEmbeddings, NonPSD, TooFewSamples
+from latentaxes.errors import (AllZeroEmbeddings, DimensionMismatch, NonPSD,
+                               TooFewSamples)
 from latentaxes.evaluation import (
     EditPairs,
     build_edit_pairs,
     frechet_distance,
     identity_similarity,
-    make_report,
+    jsonable,
     off_diagonal_sum,
     score_methods,
     variation_matrix,
@@ -50,6 +52,17 @@ class TestFrechet:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             frechet_distance(np.ones((3, 4)), np.ones((100, 4)))
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((100, 3), (100, 4)),
+                                                  ((100,), (100,))],
+                             ids=["widths-3-and-4", "1-d"])
+    def test_sets_not_rows_of_one_width_are_a_dimension_mismatch(
+            self, shape_a, shape_b):
+        rng = np.random.default_rng(5)
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                f"sets of shapes {shape_a} and {shape_b} are not rows of one "
+                "width")):
+            frechet_distance(rng.normal(size=shape_a), rng.normal(size=shape_b))
 
     def test_significantly_negative_eigenvalue_is_non_psd(self):
         # roundoff below the tolerance is clamped later, not refused
@@ -227,9 +240,7 @@ class TestScoreMethods:
         assert frechet[0] == frechet_distance(pairs[0].negatives,
                                               pairs[0].positives)
         assert np.isnan(frechet[1]) and np.isnan(frechet[2])
-        report = make_report(config={}, seeds={}, amplitude_grid=(0.9,),
-                             threshold=0.9, methods={"stub": block})
-        assert set(report["methods"]["stub"]) == REPORT_KEYS
+        assert set(jsonable(block)) == REPORT_KEYS
 
     def test_one_draw_per_attribute_shared_by_every_method(self):
         # each attribute's latents are drawn and classified once, not once
@@ -267,21 +278,24 @@ class TestScoreMethods:
 
 class TestReport:
     def test_empty_metrics_valid_json(self):
-        report = make_report(config=None, seeds=None, amplitude_grid=None,
-                             threshold=None, methods={})
-        parsed = json.loads(json.dumps(report))
-        assert parsed["methods"] == {}
-        assert parsed["config"] is None
+        # None, bools, ints, strings and an empty dict pass through
+        value = {"config": None, "csv": True, "n": 10, "workspace": "ws",
+                 "methods": {}}
+        report = jsonable(value)
+        assert report == value
+        assert json.loads(json.dumps(report)) == value
 
     def test_round_trips_and_audit_fields(self):
         mat = np.array([[0.5, np.nan], [0.1, 0.4]])
-        report = make_report(config={"n": 10}, seeds={"eval": 1},
-                             amplitude_grid=(0.55, 0.9), threshold=0.9,
-                             methods={"ae": {
-                                 "well_edited_rates": [0.9, float("nan")],
-                                 "variation_matrix": mat}})
-        parsed = json.loads(json.dumps(report))
-        assert parsed["amplitude_grid"] == [0.55, 0.9]
-        assert parsed["threshold"] == 0.9
-        assert parsed["methods"]["ae"]["well_edited_rates"] == [0.9, None]
-        assert parsed["methods"]["ae"]["variation_matrix"][0][1] is None
+        report = jsonable({"seeds": {"eval": 1}, "amplitude_grid": (0.55, 0.9),
+                           "threshold": 0.9, "methods": {"ae": {
+                               "well_edited_rates": [0.9, float("nan")],
+                               "variation_matrix": mat}}})
+        # a tuple becomes a list, and a NaN in a list, an ndarray and a
+        # nested dict becomes null
+        expected = {"seeds": {"eval": 1}, "amplitude_grid": [0.55, 0.9],
+                    "threshold": 0.9, "methods": {"ae": {
+                        "well_edited_rates": [0.9, None],
+                        "variation_matrix": [[0.5, None], [0.1, 0.4]]}}}
+        assert report == expected
+        assert json.loads(json.dumps(report)) == expected

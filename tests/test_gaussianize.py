@@ -8,7 +8,8 @@ from scipy.special import ndtr, ndtri
 
 from latentaxes import gaussianize as gz
 from latentaxes import oracle
-from latentaxes.errors import DimensionMismatch, OutOfDomain, TooFewSamples
+from latentaxes.errors import (DimensionMismatch, NonFinite, OutOfDomain,
+                               TooFewSamples)
 
 
 def normal_quantile_oracle(p, lo=-40.0, hi=40.0):
@@ -173,6 +174,30 @@ class TestTransform:
         with pytest.raises(DimensionMismatch, match=f"^{shape[-1]} attribute "
                            "columns, but the transform has 3$"):
             columns(t, np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_refuses_a_non_finite_value_naming_the_row(self, bad):
+        attrs = np.random.default_rng(7).uniform(size=(100, 2))
+        attrs[4, 1] = bad
+        with pytest.raises(NonFinite, match="^attrs row 4 is not finite$"):
+            gz.fit_transform(attrs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_columns_refuse_a_non_finite_value_naming_the_row(self, bad):
+        t = gz.fit_transform(np.random.default_rng(7).uniform(size=(100, 2)))
+        raw = np.full((3, 2), 0.5)
+        raw[2, 0] = bad
+        with pytest.raises(NonFinite, match="^raw row 2 is not finite$"):
+            gz.gaussianize_columns(t, raw)
+        with pytest.raises(NonFinite, match="^raw row 0 is not finite$"):
+            gz.gaussianize_columns(t, raw[2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_value_refuses_a_non_finite_value_naming_the_attribute(self, bad):
+        t = gz.fit_transform(np.random.default_rng(7).uniform(size=(100, 2)))
+        with pytest.raises(NonFinite, match=f"^attribute 1: value {bad} is not "
+                           "finite$"):
+            gz.gaussianize_value(t, 1, bad)
 
     def test_extreme_gaussian_clamps_to_table_range(self):
         rng = np.random.default_rng(1)

@@ -89,6 +89,16 @@ def test_truncated_payload(tmp_path):
         npyio.read_matrix(path)
 
 
+def test_surplus_payload(tmp_path):
+    # a float64 file whose header was rewritten to '<f4': its payload is
+    # twice the size the header names
+    path = tmp_path / "m.npy"
+    path.write_bytes(npy_bytes(f8_header("(2, 3)", descr="'<f4'"),
+                               struct.pack("<6d", 0, 1, 2, 3, 4, 5)))
+    with pytest.raises(BadNpyFile, match="m.npy: payload has 48 bytes, expected 24$"):
+        npyio.read_matrix(path)
+
+
 def test_unsupported_dtype(tmp_path):
     path = tmp_path / "i.npy"
     np.save(path, np.arange(6).reshape(2, 3))  # int64

@@ -16,7 +16,9 @@ benchmark, for the ``run_seconds`` of this checkout's ``BENCHMARK.json``.
 With ``--against`` both sides of a pair take the same seed, and the side
 that runs first alternates, this checkout first in pair 0. The second
 checkout's file is named by the first seven characters of the
-``git_commit`` its runs report, so it must be a git checkout.
+``git_commit`` its runs report, so it must be a git checkout. Where the
+two checkouts' paths differ in length, a warning naming both lengths goes
+to stderr before the first run.
 
 A BENCH file holds the seeds, the run length, the order of the sides, the
 ``environment`` line of the side's first run, the OpenBLAS core numpy's
@@ -154,6 +156,12 @@ def main(argv=None) -> int:
     for checkout in checkouts:
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} has no perfbench/run.py")
+    lengths = [len(str(checkout)) for checkout in checkouts]
+    if len(set(lengths)) > 1:
+        print(f"warning: the checkouts' paths are {lengths[0]} and {lengths[1]} "
+              "characters long; train-desk's timing has been seen to follow "
+              "the path's length, so compare from paths of equal length",
+              file=sys.stderr, flush=True)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
